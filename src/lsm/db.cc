@@ -5,10 +5,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <system_error>
 #include <unordered_set>
 
+#include "lsm/merging_iterator.h"
 #include "lsm/table_builder.h"
 
 namespace bloomrf {
@@ -702,17 +702,16 @@ size_t Db::EffectiveSubcompactions() const {
 void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
                     const FilterBuildContext* build_ctx, uint64_t lo,
                     uint64_t hi, SubcompactionResult* result) {
-  // k-way merge over the inputs restricted to [lo, hi]: the smallest
-  // pending key wins each step, ties resolved to the lowest input
-  // index (newest source — the job orders inputs newest first), and
-  // every iterator holding the winning key advances, which is what
-  // drops the shadowed duplicates. The ranges partition the key space,
-  // so every version of a key is merged by exactly one subcompaction
-  // and per-key semantics are identical to the serial merge.
-  std::vector<TableReader::Iterator> inputs;
-  inputs.reserve(job.inputs.size());
+  // Merge the inputs restricted to [lo, hi]; the job orders them
+  // newest first, so the newest version of each key wins. The ranges
+  // partition the key space, so every version of a key is merged by
+  // exactly one subcompaction and per-key semantics are identical to
+  // the serial merge. Direct block reads: a compaction sweep must not
+  // wash the shared cache's hot read-path blocks out.
+  MergingIterator merge;
   for (const auto& table : job.inputs) {
-    inputs.emplace_back(*table, &stats_, lo);
+    merge.Add(
+        TableReader::Iterator(*table, &stats_, lo, /*use_cache=*/false));
   }
 
   // Split outputs near half the level's base budget so deeper levels
@@ -755,23 +754,13 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
     return true;
   };
 
-  for (;;) {
-    size_t winner = inputs.size();
-    uint64_t min_key = 0;
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (!inputs[i].ok()) {
-        result->error = "compact: input read error";
-        return;
-      }
-      if (!inputs[i].Valid()) continue;
-      if (winner == inputs.size() || inputs[i].key() < min_key) {
-        winner = i;
-        min_key = inputs[i].key();
-      }
-    }
-    if (winner == inputs.size() || min_key > hi) break;
-    const bool tombstone = inputs[winner].tombstone();
-    if (tombstone && !shadow.Covers(min_key)) {
+  for (; merge.Valid() && merge.key() <= hi; merge.Next()) {
+    // A source that failed to read may hide a newer version of any key
+    // from here on: nothing past this point can be trusted.
+    if (!merge.ok()) break;
+    const uint64_t key = merge.key();
+    const bool tombstone = merge.tombstone();
+    if (tombstone && !shadow.Covers(key)) {
       // Bottom-most eligible level for this key: nothing below the
       // output can hold an older value, so the deletion has finished
       // its job and the key disappears physically.
@@ -782,15 +771,16 @@ void Db::MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,
                                                  options_.block_size);
         if (build_ctx != nullptr) builder->SetFilterContext(*build_ctx);
       }
-      builder->Add(min_key, inputs[winner].value(), tombstone);
-    }
-    for (auto& input : inputs) {
-      while (input.Valid() && input.key() == min_key) input.Next();
+      builder->Add(key, merge.value(), tombstone);
     }
     if (builder != nullptr &&
         builder->ApproximateBytes() >= target_file_bytes) {
       if (!finish_output()) return;
     }
+  }
+  if (!merge.ok()) {
+    result->error = "compact: input read error";
+    return;
   }
   if (builder != nullptr && builder->num_entries() > 0) {
     if (!finish_output()) return;
@@ -1210,73 +1200,10 @@ std::vector<std::optional<std::string>> Db::MultiGet(
   return result;
 }
 
-std::vector<std::pair<uint64_t, std::string>> Db::ScanVersion(
-    const Version& version, uint64_t lo, uint64_t hi, size_t limit) {
-  // Newest-first merge over every source, tombstones included: the
-  // first writer of a key wins, and a winning tombstone (nullopt)
-  // erases the key from the result.
-  //
-  // Correctness under per-source limits: each source is asked for
-  // scan_limit + 1 entries. A source that fills that budget is
-  // TRUNCATED — beyond its last returned key it may hold entries we
-  // have not seen, so the merge is only trustworthy up to the minimum
-  // such key (`cover`). Tombstones make the naive "first `limit`
-  // merged rows" wrong: deletions consume a newer source's budget, so
-  // an older source's rows past the newer source's truncation point
-  // could win the merge unshadowed. If the covered prefix holds fewer
-  // than `limit` live rows while some source was truncated, the scan
-  // re-runs with a doubled budget until the prefix is proven complete.
-  std::vector<std::pair<uint64_t, std::string>> out;
-  if (limit == 0) return out;
-  size_t scan_limit = limit;
-  for (;;) {
-    std::map<uint64_t, std::optional<std::string>> merged;
-    uint64_t cover = hi;
-    bool truncated = false;
-    auto absorb = [&](std::vector<ScanEntry>& chunk) {
-      if (chunk.size() > scan_limit) {
-        truncated = true;
-        cover = std::min(cover, chunk.back().key);
-      }
-      for (ScanEntry& e : chunk) {
-        merged.emplace(e.key, e.tombstone
-                                  ? std::nullopt
-                                  : std::optional<std::string>(
-                                        std::move(e.value)));
-      }
-    };
-    std::vector<ScanEntry> chunk;
-    version.active()->ScanEntries(lo, hi, scan_limit + 1, &chunk);
-    absorb(chunk);
-    const auto& sealed = version.sealed();
-    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-      chunk.clear();
-      (*it)->ScanEntries(lo, hi, scan_limit + 1, &chunk);
-      absorb(chunk);
-    }
-    for (const TableReader* table : TablesNewestFirst(version)) {
-      chunk.clear();
-      table->RangeScan(lo, hi, scan_limit + 1, &chunk, &stats_);
-      absorb(chunk);
-    }
-    for (auto& [k, v] : merged) {
-      if (k > cover) break;
-      if (!v.has_value()) continue;  // deleted: the tombstone won
-      out.emplace_back(k, std::move(*v));
-      if (out.size() >= limit) return out;
-    }
-    if (!truncated || cover >= hi) return out;  // prefix proven complete
-    out.clear();
-    scan_limit *= 2;
-  }
-}
-
 std::vector<std::pair<uint64_t, std::string>> Db::RangeScan(uint64_t lo,
                                                             uint64_t hi,
                                                             size_t limit) {
-  if (sampler_ != nullptr) sampler_->RecordRange(lo, hi);
-  auto version = versions_.Current();
-  return ScanVersion(*version, lo, hi, limit);
+  return std::move(ScanRange({&lo, 1}, {&hi, 1}, limit)[0]);
 }
 
 std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
@@ -1291,70 +1218,41 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
   auto version = versions_.Current();
   if (limit == 0) return results;
 
-  // Newest-first tombstone-aware merge per range, exactly like
-  // ScanVersion: the first writer of a key wins, a winning tombstone
-  // erases the key, and each source's truncation bounds how far the
-  // merge can be trusted (see ScanVersion).
-  const size_t scan_limit = limit;
-  std::vector<std::map<uint64_t, std::optional<std::string>>> merged(n);
-  std::vector<uint64_t> cover(his.begin(), his.end());
-  std::vector<char> truncated(n, 0);
-  auto absorb = [&](size_t i, std::vector<ScanEntry>& chunk) {
-    if (chunk.size() > scan_limit) {
-      truncated[i] = 1;
-      cover[i] = std::min(cover[i], chunk.back().key);
-    }
-    for (ScanEntry& e : chunk) {
-      merged[i].emplace(e.key, e.tombstone ? std::nullopt
-                                           : std::optional<std::string>(
-                                                 std::move(e.value)));
-    }
-  };
-  std::vector<ScanEntry> chunk;
-  for (size_t i = 0; i < n; ++i) {
-    chunk.clear();
-    version->active()->ScanEntries(los[i], his[i], scan_limit + 1, &chunk);
-    absorb(i, chunk);
+  // One batched filter probe per table for the whole batch; only the
+  // ranges a table's filter cannot exclude open a cursor on its data
+  // blocks (cache-served via GetBlock).
+  const std::vector<const TableReader*> tables = TablesNewestFirst(*version);
+  auto may_match = std::make_unique<bool[]>(tables.size() * n);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    tables[t]->RangeMultiProbe(los, his, &may_match[t * n], &stats_);
   }
   const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-    for (size_t i = 0; i < n; ++i) {
-      chunk.clear();
-      (*it)->ScanEntries(los[i], his[i], scan_limit + 1, &chunk);
-      absorb(i, chunk);
-    }
-  }
-
-  // One batched filter probe per table; only ranges the filter cannot
-  // exclude touch data blocks (cache-served via GetBlock).
-  auto may_match = std::make_unique<bool[]>(n);
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    table->RangeMultiProbe(los, his, may_match.get(), &stats_);
-    for (size_t i = 0; i < n; ++i) {
-      if (!may_match[i]) continue;
-      chunk.clear();
-      table->ScanBlocks(los[i], his[i], scan_limit + 1, &chunk, &stats_);
-      // Close the loop on the allowed probe: an empty block scan means
-      // the filter's "maybe" was a false positive (a tombstone row
-      // still confirms it — the key is in the table).
-      table->AccountRangeOutcome(!chunk.empty(), &stats_);
-      absorb(i, chunk);
-    }
-  }
   for (size_t i = 0; i < n; ++i) {
-    auto& out = results[i];
-    for (auto& [k, v] : merged[i]) {
-      if (k > cover[i]) break;
-      if (!v.has_value()) continue;  // deleted: the tombstone won
-      out.emplace_back(k, std::move(*v));
-      if (out.size() >= limit) break;
+    const uint64_t lo = los[i];
+    const uint64_t hi = his[i];
+    MergingIterator merge;
+    merge.Add(MemTable::Iterator(*version->active(), lo));
+    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
+      merge.Add(MemTable::Iterator(**it, lo));
     }
-    if (out.size() < limit && truncated[i] && cover[i] < his[i]) {
-      // The covered prefix ran dry before `limit` live rows while some
-      // source was truncated: finish this range through the deepening
-      // scalar scan (rare — needs > limit entries per source with
-      // enough of them tombstoned).
-      out = ScanVersion(*version, los[i], his[i], limit);
+    for (size_t t = 0; t < tables.size(); ++t) {
+      if (!may_match[t * n + i]) continue;
+      TableReader::Iterator cursor(*tables[t], &stats_, lo,
+                                   /*use_cache=*/true);
+      // Close the loop on the allowed probe: no entry in [lo, hi] means
+      // the filter's "maybe" was a false positive (a tombstone still
+      // confirms it — the key is in the table).
+      tables[t]->AccountRangeOutcome(cursor.Valid() && cursor.key() <= hi,
+                                     &stats_);
+      merge.Add(std::move(cursor));
+    }
+    auto& out = results[i];
+    for (; merge.Valid() && merge.key() <= hi && out.size() < limit;
+         merge.Next()) {
+      // A winning tombstone means the key is deleted.
+      if (!merge.tombstone()) {
+        out.emplace_back(merge.key(), std::string(merge.value()));
+      }
     }
   }
   return results;
@@ -1363,19 +1261,28 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
 bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
   if (sampler_ != nullptr) sampler_->RecordRange(lo, hi);
   auto version = versions_.Current();
-  std::vector<std::pair<uint64_t, std::string>> probe;
-  version->active()->RangeScan(lo, hi, 1, &probe);
-  if (!probe.empty()) return true;
+  // Memtables answer exactly: a live row in [lo, hi] (a tombstone is
+  // no row).
+  auto has_live_row = [&](const MemTable& mem) {
+    for (MemTable::Iterator it(mem, lo); it.Valid() && it.key() <= hi;
+         it.Next()) {
+      if (!it.tombstone()) return true;
+    }
+    return false;
+  };
+  if (has_live_row(*version->active())) return true;
   for (const auto& mem : version->sealed()) {
-    probe.clear();
-    mem->RangeScan(lo, hi, 1, &probe);
-    if (!probe.empty()) return true;
+    if (has_live_row(*mem)) return true;
   }
   bool any = false;
   for (const TableReader* table : TablesNewestFirst(*version)) {
     if (table->filter() != nullptr) {
-      if (table->RangeScan(lo, hi, 0, static_cast<std::vector<ScanEntry>*>(nullptr),
-                           &stats_)) {
+      bool may_match = false;
+      table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
+      if (may_match) {
+        // A positive pays the first block read of the scan it would
+        // start: the I/O cost of a false positive (Fig. 12.G).
+        TableReader::Iterator(*table, &stats_, lo, /*use_cache=*/true);
         any = true;
       }
     } else {

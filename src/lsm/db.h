@@ -253,17 +253,20 @@ class Db {
   std::vector<std::optional<std::string>> MultiGet(
       std::span<const uint64_t> keys);
 
-  /// Returns up to `limit` entries with keys in [lo, hi], merged over
-  /// the memtables and all SSTs (newest value wins on duplicates).
+  /// Returns the first `limit` live rows with keys in [lo, hi], merged
+  /// over the memtables and all SSTs (newest value wins on duplicates,
+  /// a newest tombstone hides its key). ScanRange with one range.
   std::vector<std::pair<uint64_t, std::string>> RangeScan(uint64_t lo,
                                                           uint64_t hi,
                                                           size_t limit = 1024);
 
-  /// Batched range scan: result[i] holds the RangeScan(los[i], his[i],
-  /// limit) rows. Equivalent to N RangeScan calls but each table's
-  /// filter answers the whole batch through one planned
-  /// MayContainRangeBatch (TableReader::RangeMultiProbe), and only the
-  /// ranges the filter cannot exclude touch data blocks — served
+  /// Batched range scan: result[i] holds the first `limit` live rows
+  /// of [los[i], his[i]]. Each table's filter answers the whole batch
+  /// through one planned MayContainRangeBatch
+  /// (TableReader::RangeMultiProbe). Each range then pops a
+  /// MergingIterator over lazy cursors on the memtables and on the
+  /// tables whose filter allowed it, until `limit` live rows or a key
+  /// past the range: blocks are read only as far as the merge gets,
   /// through the shared block cache, so overlapping ranges parse each
   /// block once. `los` and `his` must have equal length.
   std::vector<std::vector<std::pair<uint64_t, std::string>>> ScanRange(
@@ -391,11 +394,6 @@ class Db {
   /// over the current Version's SSTs). Called after every publication
   /// that changes the table set.
   void UpdateTombstonesLive();
-  /// Shared scan core: newest-first tombstone-aware merge over one
-  /// Version snapshot, deepening its per-source budget until the
-  /// result provably holds the first `limit` live rows of [lo, hi].
-  std::vector<std::pair<uint64_t, std::string>> ScanVersion(
-      const Version& version, uint64_t lo, uint64_t hi, size_t limit);
   /// Synchronous-mode drain: flushes queued memtables front to back,
   /// stopping (and keeping the failed one at the front for the next
   /// call) on the first failure.
@@ -428,9 +426,9 @@ class Db {
   /// DbOptions::max_subcompactions with its 0 = compaction_threads
   /// default resolved.
   size_t EffectiveSubcompactions() const;
-  /// Merges `job`'s inputs restricted to keys in [lo, hi]: k-way merge
-  /// (newest input wins duplicates), tombstones dropped per `shadow`,
-  /// outputs split near the level's file-size target. Runs on a
+  /// Merges `job`'s inputs restricted to keys in [lo, hi] through a
+  /// MergingIterator (newest input wins duplicates), tombstones dropped
+  /// per `shadow`, outputs split near the level's file-size target. Runs on a
   /// subcompaction worker; touches only atomics, the shared read-only
   /// job state, and its own `result`.
   void MergeRange(const CompactionJob& job, const TombstoneShadow& shadow,

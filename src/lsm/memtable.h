@@ -3,7 +3,7 @@
 // delta that is searched "otherwise" (HashSkipLists / HashLinkLists in
 // RocksDB); this is that delta as an arena-backed concurrent skiplist:
 // Put from any number of threads is lock-free (CAS-spliced inserts,
-// one bump-pointer arena allocation per entry), Get/RangeScan never
+// one bump-pointer arena allocation per entry), Get/Iterator never
 // take a lock, and ApproximateBytes is a relaxed atomic so the flush
 // threshold check costs one load.
 //
@@ -99,33 +99,49 @@ class MemTable {
     return Find(key, value) == Lookup::kHit;
   }
 
-  /// Appends live entries in [lo, hi] (up to `limit` total in `out`),
-  /// skipping tombstones — the caller sees only what a Get would.
-  void RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                 std::vector<std::pair<uint64_t, std::string>>* out) const {
-    SkipList::Iterator it(&rep_->list);
-    for (it.Seek(lo); it.Valid() && it.key() <= hi && out->size() < limit;
-         it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) continue;
-      out->emplace_back(it.key(), std::string(v + 4, DecodeFixed32(v)));
+  /// Sorted cursor over the entries (tombstones included) from
+  /// `start_key` on — the memtable source of a MergingIterator. Safe
+  /// concurrently with writers: inserts splice in ahead of or behind
+  /// the cursor, and each position's value pointer is loaded once, so
+  /// value() and tombstone() always describe the same version.
+  class Iterator {
+   public:
+    Iterator(const MemTable& mem, uint64_t start_key)
+        : it_(&mem.rep_->list) {
+      it_.Seek(start_key);
+      Load();
     }
-  }
+    bool Valid() const { return it_.Valid(); }
+    uint64_t key() const { return it_.key(); }
+    bool tombstone() const { return IsTombstone(v_); }
+    /// Empty for a tombstone.
+    std::string_view value() const {
+      return tombstone() ? std::string_view()
+                         : std::string_view(v_ + 4, DecodeFixed32(v_));
+    }
+    void Next() {
+      it_.Next();
+      Load();
+    }
+    /// Memory never fails to read; present so every merge source has
+    /// the same shape.
+    bool ok() const { return true; }
 
-  /// Merge-scan variant: appends entries in [lo, hi] INCLUDING
-  /// tombstones (up to `limit` total), so a newest-first merge can let
-  /// deletions shadow older live values.
+   private:
+    void Load() { v_ = it_.Valid() ? it_.value() : nullptr; }
+
+    SkipList::Iterator it_;
+    const char* v_ = nullptr;
+  };
+
+  /// Appends entries in [lo, hi] INCLUDING tombstones (up to `limit`
+  /// total in `out`), so a newest-first merge can let deletions shadow
+  /// older live values.
   void ScanEntries(uint64_t lo, uint64_t hi, size_t limit,
                    std::vector<ScanEntry>* out) const {
-    SkipList::Iterator it(&rep_->list);
-    for (it.Seek(lo); it.Valid() && it.key() <= hi && out->size() < limit;
-         it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) {
-        out->push_back({it.key(), std::string(), true});
-      } else {
-        out->push_back({it.key(), std::string(v + 4, DecodeFixed32(v)), false});
-      }
+    for (Iterator it(*this, lo);
+         it.Valid() && it.key() <= hi && out->size() < limit; it.Next()) {
+      out->push_back({it.key(), std::string(it.value()), it.tombstone()});
     }
   }
 
@@ -150,15 +166,7 @@ class MemTable {
   std::vector<ScanEntry> Snapshot() const {
     std::vector<ScanEntry> out;
     out.reserve(size());
-    SkipList::Iterator it(&rep_->list);
-    for (it.SeekToFirst(); it.Valid(); it.Next()) {
-      const char* v = it.value();
-      if (IsTombstone(v)) {
-        out.push_back({it.key(), std::string(), true});
-      } else {
-        out.push_back({it.key(), std::string(v + 4, DecodeFixed32(v)), false});
-      }
-    }
+    ScanEntries(0, UINT64_MAX, SIZE_MAX, &out);
     return out;
   }
 

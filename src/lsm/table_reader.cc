@@ -238,8 +238,9 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
 }
 
 std::shared_ptr<const CachedBlock> TableReader::GetBlock(
-    size_t index_pos, LsmStats* stats) const {
-  if (cache_ != nullptr) {
+    size_t index_pos, LsmStats* stats, bool use_cache) const {
+  const bool cached = use_cache && cache_ != nullptr;
+  if (cached) {
     auto cached = cache_->Lookup(table_id_, index_pos);
     if (cached != nullptr) {
       if (stats != nullptr) ++stats->block_cache_hits;
@@ -252,7 +253,7 @@ std::shared_ptr<const CachedBlock> TableReader::GetBlock(
   if (!ParseBlock(block->raw, &block->entries, has_tombstone_flags_)) {
     return nullptr;
   }
-  if (cache_ != nullptr) cache_->Insert(table_id_, index_pos, block);
+  if (cached) cache_->Insert(table_id_, index_pos, block);
   return block;
 }
 
@@ -410,78 +411,6 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
   return resolved;
 }
 
-size_t TableReader::MultiGet(std::span<const uint64_t> keys, bool* found,
-                             std::string* values, LsmStats* stats) const {
-  std::vector<Lookup> states(keys.size(), Lookup::kMiss);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (found[i]) states[i] = Lookup::kHit;
-  }
-  MultiGet(keys, states.data(), values, stats);
-  size_t hits = 0;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (!found[i] && states[i] == Lookup::kHit) {
-      found[i] = true;
-      ++hits;
-    }
-  }
-  return hits;
-}
-
-bool TableReader::RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                            std::vector<ScanEntry>* out,
-                            LsmStats* stats) const {
-  const bool filtered = filter_ != nullptr;
-  if (filtered) {
-    bool may_match;
-    if (stats != nullptr) {
-      Timer timer;
-      may_match = filter_->MayContainRange(lo, hi);
-      stats->filter_probe_nanos += timer.ElapsedNanos();
-      ++stats->filter_probes;
-      if (!may_match) ++stats->filter_negatives;
-    } else {
-      may_match = filter_->MayContainRange(lo, hi);
-    }
-    if (!may_match) {
-      rg_neg_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) {
-        ++stats->filter_true_negatives[LsmStats::StatsLevel(level_)];
-      }
-      return false;
-    }
-    rg_allowed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const size_t before = out != nullptr ? out->size() : 0;
-  ScanBlocks(lo, hi, limit, out, stats);
-  // Zero appended rows with headroom below `limit` means the blocks
-  // definitively rejected a range the filter allowed (a tombstone row
-  // still confirms the filter — the key is in the table). Probes
-  // without an output vector (existence pre-checks) carry no outcome.
-  if (filtered && out != nullptr && out->size() == before &&
-      before < limit) {
-    rg_false_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      ++stats->filter_false_positives[LsmStats::StatsLevel(level_)];
-    }
-  }
-  return true;
-}
-
-bool TableReader::RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                            std::vector<std::pair<uint64_t, std::string>>* out,
-                            LsmStats* stats) const {
-  if (out == nullptr) {
-    return RangeScan(lo, hi, limit,
-                     static_cast<std::vector<ScanEntry>*>(nullptr), stats);
-  }
-  std::vector<ScanEntry> entries;
-  bool allowed = RangeScan(lo, hi, limit, &entries, stats);
-  for (ScanEntry& e : entries) {
-    if (!e.tombstone) out->emplace_back(e.key, std::move(e.value));
-  }
-  return allowed;
-}
-
 void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
                                   std::span<const uint64_t> his,
                                   bool* may_match, LsmStats* stats) const {
@@ -518,26 +447,19 @@ void TableReader::AccountRangeOutcome(bool any_rows, LsmStats* stats) const {
   }
 }
 
-TableReader::Iterator::Iterator(const TableReader& table, LsmStats* stats)
-    : table_(table), stats_(stats) {
-  LoadBlock(0);
-}
-
 TableReader::Iterator::Iterator(const TableReader& table, LsmStats* stats,
-                                uint64_t start_key)
-    : table_(table), stats_(stats) {
+                                uint64_t start_key, bool use_cache)
+    : table_(table), stats_(stats), use_cache_(use_cache) {
   const int64_t block = table.FindBlock(start_key);
-  if (block < 0) {
-    LoadBlock(table.index_.size());  // every key < start_key: end state
-    return;
-  }
-  LoadBlock(static_cast<size_t>(block));
+  LoadBlock(block < 0 ? table.index_.size()  // every key < start_key: end
+                      : static_cast<size_t>(block));
+  if (block_ == nullptr) return;
   // FindBlock guarantees this block's last key >= start_key, so the
-  // target position is inside it (when the block loaded at all).
-  while (block_ != nullptr && pos_ < block_->entries.size() &&
-         block_->entries[pos_].key < start_key) {
-    ++pos_;
-  }
+  // target position is inside it.
+  auto first = std::lower_bound(
+      block_->entries.begin(), block_->entries.end(), start_key,
+      [](const BlockEntry& e, uint64_t k) { return e.key < k; });
+  pos_ = static_cast<size_t>(first - block_->entries.begin());
 }
 
 void TableReader::Iterator::LoadBlock(size_t block_idx) {
@@ -545,15 +467,8 @@ void TableReader::Iterator::LoadBlock(size_t block_idx) {
   block_idx_ = block_idx;
   pos_ = 0;
   if (block_idx >= table_.index_.size()) return;  // end of table
-  // Direct read, not GetBlock: a full-table compaction sweep must not
-  // wash the shared cache's hot read-path blocks out.
-  auto block = std::make_shared<CachedBlock>();
-  if (!table_.ReadBlockAt(block_idx, &block->raw, stats_) ||
-      !ParseBlock(block->raw, &block->entries, table_.has_tombstone_flags_)) {
-    ok_ = false;
-    return;
-  }
-  block_ = std::move(block);
+  block_ = table_.GetBlock(block_idx, stats_, use_cache_);
+  if (block_ == nullptr) ok_ = false;
 }
 
 void TableReader::Iterator::Next() {
@@ -564,20 +479,9 @@ void TableReader::Iterator::Next() {
 void TableReader::ScanBlocks(uint64_t lo, uint64_t hi, size_t limit,
                              std::vector<ScanEntry>* out,
                              LsmStats* stats) const {
-  int64_t block_idx = FindBlock(lo);
-  for (size_t b = block_idx < 0 ? index_.size() : static_cast<size_t>(block_idx);
-       b < index_.size(); ++b) {
-    auto block = GetBlock(b, stats);
-    if (block == nullptr) break;
-    for (const BlockEntry& entry : block->entries) {
-      if (entry.key < lo) continue;
-      if (entry.key > hi) return;
-      if (out != nullptr) {
-        if (out->size() >= limit) return;
-        out->push_back(
-            {entry.key, std::string(entry.value), entry.tombstone});
-      }
-    }
+  for (Iterator it(*this, stats, lo, /*use_cache=*/true);
+       it.Valid() && it.key() <= hi && out->size() < limit; it.Next()) {
+    out->push_back({it.key(), std::string(it.value()), it.tombstone()});
   }
 }
 

@@ -288,25 +288,6 @@ class TableReader {
   size_t MultiGet(std::span<const uint64_t> keys, Lookup* states,
                   std::string* values, LsmStats* stats) const;
 
-  /// Live-value batched lookup over found flags; a tombstone resolves
-  /// the key internally but leaves found[i] == false. Returns newly
-  /// found (live) keys. Single-table callers only.
-  size_t MultiGet(std::span<const uint64_t> keys, bool* found,
-                  std::string* values, LsmStats* stats) const;
-
-  /// Appends up to `limit` entries with keys in [lo, hi] to `out`,
-  /// tombstones included (entry.tombstone == true) so a newest-first
-  /// merge can let deletions shadow older tables. Returns true if the
-  /// filter allowed the probe (for FPR counting).
-  bool RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                 std::vector<ScanEntry>* out, LsmStats* stats) const;
-
-  /// Live-row variant: tombstoned keys are skipped (they consume no
-  /// `limit` budget). Single-table callers only.
-  bool RangeScan(uint64_t lo, uint64_t hi, size_t limit,
-                 std::vector<std::pair<uint64_t, std::string>>* out,
-                 LsmStats* stats) const;
-
   /// Batched range filter probe: may_match[i] holds this table's
   /// filter answer for [los[i], his[i]] (true when the table has no
   /// filter). One planned MayContainRangeBatch per call instead of N
@@ -315,10 +296,11 @@ class TableReader {
                        std::span<const uint64_t> his, bool* may_match,
                        LsmStats* stats) const;
 
-  /// The block-side half of RangeScan: scans data blocks for entries
-  /// in [lo, hi] (tombstones included) without consulting the filter
-  /// (callers already probed via RangeMultiProbe). Reads go through
-  /// the shared block cache.
+  /// The block-side half of a range probe: appends up to `limit`
+  /// entries in [lo, hi] (tombstones included) to `out` without
+  /// consulting the filter (callers already probed via
+  /// RangeMultiProbe). A loop over a cache-aware Iterator, so reads go
+  /// through the shared block cache; an unreadable block ends the scan.
   void ScanBlocks(uint64_t lo, uint64_t hi, size_t limit,
                   std::vector<ScanEntry>* out, LsmStats* stats) const;
 
@@ -365,24 +347,25 @@ class TableReader {
   }
 
   /// Closes the loop for a range probe the filter allowed: callers of
-  /// RangeMultiProbe + ScanBlocks report whether any rows actually
-  /// matched; an empty result means the filter answer was a false
-  /// positive. No-op when the table has no filter.
+  /// RangeMultiProbe report whether the blocks held any entry in the
+  /// range (Db::ScanRange: the range's cursor opened on one); none
+  /// means the filter answer was a false positive. No-op when the
+  /// table has no filter.
   void AccountRangeOutcome(bool any_rows, LsmStats* stats) const;
 
-  /// Sequential full-table cursor for compaction merges. Reads blocks
-  /// directly (bypassing the shared cache, so a compaction sweep never
-  /// evicts hot read-path blocks). `ok()` turns false if a block fails
-  /// to read or checksum — the cursor then ends early and the caller
-  /// must abort the merge.
+  /// Sorted cursor over the table's entries (tombstones included),
+  /// positioned on the first entry with key >= `start_key` (past the
+  /// end when the table has none), so it reads only the blocks its key
+  /// range touches. The caller picks the block source: `use_cache`
+  /// reads through the shared cache (GetBlock — the scan path), off
+  /// reads blocks directly (compaction, so a sweep never washes the
+  /// cache's hot read-path blocks out). `ok()` turns false if a block
+  /// fails to read or checksum — the cursor then ends early and a
+  /// caller that must not lose rows (a compaction merge) aborts.
   class Iterator {
    public:
-    Iterator(const TableReader& table, LsmStats* stats);
-    /// Bounded variant: positions the cursor on the first entry with
-    /// key >= `start_key` (past the end when the table has none), so a
-    /// range-partitioned subcompaction reads only the blocks its key
-    /// range touches.
-    Iterator(const TableReader& table, LsmStats* stats, uint64_t start_key);
+    Iterator(const TableReader& table, LsmStats* stats, uint64_t start_key,
+             bool use_cache);
     bool Valid() const {
       return block_ != nullptr && pos_ < block_->entries.size();
     }
@@ -397,6 +380,7 @@ class TableReader {
 
     const TableReader& table_;
     LsmStats* const stats_;
+    const bool use_cache_;
     std::shared_ptr<const CachedBlock> block_;
     size_t block_idx_ = 0;
     size_t pos_ = 0;
@@ -417,11 +401,12 @@ class TableReader {
   bool ReadFileAt(uint64_t offset, uint64_t size, std::string* out) const;
   bool ReadBlockAt(size_t index_pos, std::string* buffer,
                    LsmStats* stats) const;
-  /// Cache-aware fetch: returns the parsed block at `index_pos` from
-  /// the shared cache, reading and parsing (then caching) on a miss.
-  /// Null on I/O error or corruption.
+  /// Returns the parsed block at `index_pos`: from the shared cache
+  /// when `use_cache` (reading and parsing, then caching, on a miss),
+  /// else read and parsed directly. Null on I/O error or corruption.
   std::shared_ptr<const CachedBlock> GetBlock(size_t index_pos,
-                                              LsmStats* stats) const;
+                                              LsmStats* stats,
+                                              bool use_cache = true) const;
   /// Index position of the first block whose last_key >= key, or -1.
   int64_t FindBlock(uint64_t key) const;
 

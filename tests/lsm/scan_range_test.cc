@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,55 @@ TEST_F(ScanRangeTest, RepeatedBatchIsServedByBlockCache) {
   EXPECT_GT(stats.block_cache_hits, 0u);
   EXPECT_EQ(stats.block_cache_misses, 0u);
   EXPECT_EQ(stats.blocks_read, 0u);
+}
+
+TEST_F(ScanRangeTest, LimitedScansSkipTombstonesAcrossSources) {
+  // Deletions sit in newer sources than the rows they hide, and a
+  // small limit is used up long before the first live key: every scan
+  // must still return exactly the first `limit` live rows.
+  FilterBuildParams params;
+  params.bits_per_key = 18.0;
+  params.max_range = 1e6;
+  DbOptions options;
+  options.dir = dir_;
+  options.filter_policy = NewRegistryPolicy("bloomrf", params);
+  Db db(options);
+  std::map<uint64_t, std::string> model;
+  for (uint64_t k = 0; k < 200; ++k) {
+    ASSERT_TRUE(db.Put(k, MakeValue(k, 16)));
+    model[k] = MakeValue(k, 16);
+  }
+  ASSERT_TRUE(db.Flush());  // old SST: 200 live keys
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(db.Delete(k));
+    model.erase(k);
+  }
+  ASSERT_TRUE(db.Flush());  // newer SST: tombstones over 0..99
+  for (uint64_t k = 100; k < 150; ++k) {
+    ASSERT_TRUE(db.Delete(k));  // memtable: tombstones over 100..149
+    model.erase(k);
+  }
+  ASSERT_EQ(db.num_tables(), 2u);
+
+  const std::vector<uint64_t> los = {0, 50, 120};
+  const std::vector<uint64_t> his(los.size(), 1000);
+  for (size_t limit : {1, 4, 17, 64}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    auto batched = db.ScanRange(los, his, limit);
+    ASSERT_EQ(batched.size(), los.size());
+    for (size_t i = 0; i < los.size(); ++i) {
+      SCOPED_TRACE("lo " + std::to_string(los[i]));
+      std::vector<std::pair<uint64_t, std::string>> expected;
+      for (auto it = model.lower_bound(los[i]);
+           it != model.end() && it->first <= his[i] &&
+           expected.size() < limit;
+           ++it) {
+        expected.emplace_back(it->first, it->second);
+      }
+      EXPECT_EQ(db.RangeScan(los[i], his[i], limit), expected);
+      EXPECT_EQ(batched[i], expected);
+    }
+  }
 }
 
 }  // namespace
