@@ -75,7 +75,8 @@ inline LsmRunResult RunLsmWorkload(const Dataset& data,
   }
   result.point_seconds = timer.ElapsedSeconds();
   const LsmStats& point_stats = db.stats();
-  uint64_t positives = point_stats.filter_probes - point_stats.filter_negatives;
+  uint64_t positives =
+      point_stats.filter_probes - point_stats.total_filter_true_negatives();
   result.point_fpr =
       point_stats.filter_probes
           ? static_cast<double>(positives) /

@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
   std::printf("  filter probes=%llu (negatives=%llu), blocks read=%llu, "
               "cache hits=%llu misses=%llu (hit rate %.2f)\n",
               static_cast<unsigned long long>(stats.filter_probes),
-              static_cast<unsigned long long>(stats.filter_negatives),
+              static_cast<unsigned long long>(
+                  stats.total_filter_true_negatives()),
               static_cast<unsigned long long>(stats.blocks_read),
               static_cast<unsigned long long>(stats.block_cache_hits),
               static_cast<unsigned long long>(stats.block_cache_misses),

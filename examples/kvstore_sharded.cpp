@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   // aggregate hit rate reflects cross-shard residency.
   auto print_stats = [](const char* label, const LsmStats& s, size_t tables) {
     uint64_t probes = s.filter_probes.load();
-    uint64_t negatives = s.filter_negatives.load();
+    uint64_t negatives = s.total_filter_true_negatives();
     uint64_t ch = s.block_cache_hits.load(), cm = s.block_cache_misses.load();
     std::printf("  %-10s tables=%-4zu filter probes=%-9llu negatives=%-9llu "
                 "cache hits=%-8llu misses=%-8llu hit rate %.2f\n",

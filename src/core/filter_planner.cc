@@ -81,13 +81,21 @@ double WeightedOver(const std::vector<double>& weights, Fn fpr_of_width) {
 
 }  // namespace
 
-double BackendObservation::MeasuredPointFpr(uint64_t min_probes) const {
+FilterOutcomes& FilterOutcomes::operator+=(const FilterOutcomes& o) {
+  point_false += o.point_false;
+  point_negatives += o.point_negatives;
+  range_false += o.range_false;
+  range_negatives += o.range_negatives;
+  return *this;
+}
+
+double FilterOutcomes::MeasuredPointFpr(uint64_t min_probes) const {
   uint64_t definite = point_false + point_negatives;
   if (definite < min_probes) return -1.0;
   return static_cast<double>(point_false) / static_cast<double>(definite);
 }
 
-double BackendObservation::MeasuredRangeFpr(uint64_t min_probes) const {
+double FilterOutcomes::MeasuredRangeFpr(uint64_t min_probes) const {
   uint64_t definite = range_false + range_negatives;
   if (definite < min_probes) return -1.0;
   return static_cast<double>(range_false) / static_cast<double>(definite);

@@ -42,23 +42,27 @@
 
 namespace bloomrf {
 
-/// Measured probe outcomes of one backend, aggregated over the live
-/// tables that carry it. "false" counts filter-passed probes the data
-/// blocks then rejected; "negatives" are filter rejections (always
-/// correct — the structures have no false negatives).
-struct BackendObservation {
-  std::string backend;  ///< FilterRegistry name, e.g. "bloomrf"
-  uint64_t point_allowed = 0;
+/// Measured probe outcomes of a filter (one table's, or one backend's
+/// summed over the live tables that carry it). "false" counts
+/// filter-passed probes the data blocks then rejected; "negatives" are
+/// filter rejections (always correct — the structures have no false
+/// negatives).
+struct FilterOutcomes {
   uint64_t point_false = 0;
   uint64_t point_negatives = 0;
-  uint64_t range_allowed = 0;
   uint64_t range_false = 0;
   uint64_t range_negatives = 0;
 
+  FilterOutcomes& operator+=(const FilterOutcomes& o);
   /// Measured FPR over the probes that had a definite outcome; -1
   /// when fewer than `min_probes` outcomes were observed.
   double MeasuredPointFpr(uint64_t min_probes) const;
   double MeasuredRangeFpr(uint64_t min_probes) const;
+};
+
+/// One backend's outcomes, aggregated for the planner.
+struct BackendObservation : FilterOutcomes {
+  std::string backend;  ///< FilterRegistry name, e.g. "bloomrf"
 };
 
 struct FilterFeedback {

@@ -1105,14 +1105,7 @@ FilterFeedback Db::CollectFilterFeedback() const {
     if (table->filter() == nullptr || table->filter_backend().empty()) {
       continue;
     }
-    TableReader::FilterOutcomes o = table->filter_outcomes();
-    BackendObservation* obs = feedback.FindOrAdd(table->filter_backend());
-    obs->point_allowed += o.point_allowed;
-    obs->point_false += o.point_false;
-    obs->point_negatives += o.point_negatives;
-    obs->range_allowed += o.range_allowed;
-    obs->range_false += o.range_false;
-    obs->range_negatives += o.range_negatives;
+    *feedback.FindOrAdd(table->filter_backend()) += table->filter_outcomes();
   }
   return feedback;
 }
@@ -1237,14 +1230,7 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
     }
     for (size_t t = 0; t < tables.size(); ++t) {
       if (!may_match[t * n + i]) continue;
-      TableReader::Iterator cursor(*tables[t], &stats_, lo,
-                                   /*use_cache=*/true);
-      // Close the loop on the allowed probe: no entry in [lo, hi] means
-      // the filter's "maybe" was a false positive (a tombstone still
-      // confirms it — the key is in the table).
-      tables[t]->AccountRangeOutcome(cursor.Valid() && cursor.key() <= hi,
-                                     &stats_);
-      merge.Add(std::move(cursor));
+      merge.Add(tables[t]->RangeCursor(lo, hi, &stats_));
     }
     auto& out = results[i];
     for (; merge.Valid() && merge.key() <= hi && out.size() < limit;

@@ -329,6 +329,9 @@ class Db {
   FilterFeedback CollectFilterFeedback() const;
 
   const LsmStats& stats() const { return stats_; }
+  /// Zeroes the cumulative counters (and last_error). The gauges
+  /// tombstones_live and compactions_inflight keep their value: they
+  /// describe current state, and running jobs still adjust them.
   void ResetStats() { stats_.Reset(); }
   /// Snapshot of flush-side counters. Exact after Flush()/
   /// WaitForFlush(); may lag mid-flight flushes otherwise.

@@ -163,6 +163,7 @@ class ShardedDb {
 
   /// Sum of all shards' probe-cost counters.
   LsmStats TotalStats() const;
+  /// Db::ResetStats on every shard: gauges keep their value.
   void ResetStats();
   size_t num_tables() const;
   uint64_t filter_memory_bits() const;

@@ -265,46 +265,46 @@ int64_t TableReader::FindBlock(uint64_t key) const {
   return static_cast<int64_t>(it - index_.begin());
 }
 
+void TableReader::RecordOutcome(Probe probe, uint64_t negatives,
+                                uint64_t false_positives,
+                                LsmStats* stats) const {
+  if (filter_ == nullptr) return;
+  auto add = [](std::atomic<uint64_t>& counter, uint64_t n) {
+    if (n > 0) counter.fetch_add(n, std::memory_order_relaxed);
+  };
+  const auto p = static_cast<size_t>(probe);
+  add(negatives_[p], negatives);
+  add(false_positives_[p], false_positives);
+  if (stats != nullptr) {
+    const size_t level = LsmStats::StatsLevel(level_);
+    add(stats->filter_true_negatives[level], negatives);
+    add(stats->filter_false_positives[level], false_positives);
+  }
+}
+
 Lookup TableReader::Find(uint64_t key, std::string* value,
                          LsmStats* stats) const {
-  const bool filtered = filter_ != nullptr;
-  if (filtered) {
+  if (filter_ != nullptr) {
     bool may_match;
     if (stats != nullptr) {
       Timer timer;
       may_match = filter_->MayContain(key);
       stats->filter_probe_nanos += timer.ElapsedNanos();
       ++stats->filter_probes;
-      if (!may_match) ++stats->filter_negatives;
     } else {
       may_match = filter_->MayContain(key);
     }
     if (!may_match) {
-      // Filters have no false negatives: a rejection is a definite
-      // true negative.
-      pt_neg_.fetch_add(1, std::memory_order_relaxed);
-      if (stats != nullptr) {
-        ++stats->filter_true_negatives[LsmStats::StatsLevel(level_)];
-      }
+      RecordOutcome(Probe::kPoint, 1, 0, stats);
       return Lookup::kMiss;
     }
-    pt_allowed_.fetch_add(1, std::memory_order_relaxed);
   }
   // The filter said "maybe"; if the data blocks now say "no", that
-  // probe was a false positive. I/O errors (block == nullptr) get no
-  // attribution — the outcome is unknown, not a model miss. A
-  // tombstone hit is a CONFIRMED answer (the key is in the table),
-  // never a false positive.
-  auto false_positive = [&] {
-    if (!filtered) return;
-    pt_false_.fetch_add(1, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      ++stats->filter_false_positives[LsmStats::StatsLevel(level_)];
-    }
-  };
+  // probe was a false positive. An unreadable block (null) records no
+  // outcome, and a tombstone hit confirms the filter's answer.
   int64_t block_idx = FindBlock(key);
   if (block_idx < 0) {
-    false_positive();
+    RecordOutcome(Probe::kPoint, 0, 1, stats);
     return Lookup::kMiss;
   }
   auto block = GetBlock(static_cast<size_t>(block_idx), stats);
@@ -313,7 +313,7 @@ Lookup TableReader::Find(uint64_t key, std::string* value,
       block->entries.begin(), block->entries.end(), key,
       [](const BlockEntry& e, uint64_t k) { return e.key < k; });
   if (it == block->entries.end() || it->key != key) {
-    false_positive();
+    RecordOutcome(Probe::kPoint, 0, 1, stats);
     return Lookup::kMiss;
   }
   if (it->tombstone) return Lookup::kTombstone;
@@ -335,9 +335,9 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
 
   // One batched (planned, prefetching) filter probe for the batch.
   std::vector<std::pair<int64_t, uint32_t>> by_block;
+  by_block.reserve(pending.size());
   size_t allowed = 0;
-  const bool filtered = filter_ != nullptr;
-  if (filtered) {
+  if (filter_ != nullptr) {
     std::vector<uint64_t> probe_keys;
     probe_keys.reserve(pending.size());
     for (uint32_t i : pending) probe_keys.push_back(keys[i]);
@@ -351,23 +351,14 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
     } else {
       filter_->MayContainBatch(probe_keys, may_out);
     }
-    by_block.reserve(pending.size());
     for (size_t j = 0; j < pending.size(); ++j) {
-      if (!may_out[j]) {
-        if (stats != nullptr) {
-          ++stats->filter_negatives;
-          ++stats->filter_true_negatives[LsmStats::StatsLevel(level_)];
-        }
-        continue;
-      }
+      if (!may_out[j]) continue;
       ++allowed;
       int64_t b = FindBlock(keys[pending[j]]);
       if (b >= 0) by_block.emplace_back(b, pending[j]);
     }
-    pt_neg_.fetch_add(pending.size() - allowed, std::memory_order_relaxed);
-    pt_allowed_.fetch_add(allowed, std::memory_order_relaxed);
   } else {
-    by_block.reserve(pending.size());
+    allowed = pending.size();
     for (uint32_t i : pending) {
       int64_t b = FindBlock(keys[i]);
       if (b >= 0) by_block.emplace_back(b, i);
@@ -378,6 +369,7 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
   std::stable_sort(by_block.begin(), by_block.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   size_t resolved = 0;
+  size_t unreadable = 0;
   std::shared_ptr<const CachedBlock> block;
   int64_t current = -1;
   for (const auto& [block_idx, i] : by_block) {
@@ -385,7 +377,10 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
       block = GetBlock(static_cast<size_t>(block_idx), stats);
       current = block_idx;
     }
-    if (block == nullptr) continue;
+    if (block == nullptr) {
+      ++unreadable;
+      continue;
+    }
     auto it = std::lower_bound(
         block->entries.begin(), block->entries.end(), keys[i],
         [](const BlockEntry& e, uint64_t k) { return e.key < k; });
@@ -398,16 +393,10 @@ size_t TableReader::MultiGet(std::span<const uint64_t> keys, Lookup* states,
     }
     ++resolved;
   }
-  if (filtered && allowed > resolved) {
-    // Every allowed probe the data blocks did not confirm was a false
-    // positive (conservatively including the rare unreadable block).
-    // Tombstone hits confirm the filter — the key IS in the table.
-    const uint64_t fp = allowed - resolved;
-    pt_false_.fetch_add(fp, std::memory_order_relaxed);
-    if (stats != nullptr) {
-      stats->filter_false_positives[LsmStats::StatsLevel(level_)] += fp;
-    }
-  }
+  // Every allowed probe the data blocks neither confirmed (tombstone
+  // hits included) nor failed to read was a false positive.
+  RecordOutcome(Probe::kPoint, pending.size() - allowed,
+                allowed - resolved - unreadable, stats);
   return resolved;
 }
 
@@ -427,24 +416,19 @@ void TableReader::RangeMultiProbe(std::span<const uint64_t> los,
   } else {
     filter_->MayContainRangeBatch(los, his, may_match);
   }
-  size_t negatives = 0;
-  for (size_t i = 0; i < los.size(); ++i) {
-    if (!may_match[i]) ++negatives;
-  }
-  rg_neg_.fetch_add(negatives, std::memory_order_relaxed);
-  rg_allowed_.fetch_add(los.size() - negatives, std::memory_order_relaxed);
-  if (stats != nullptr) {
-    stats->filter_negatives += negatives;
-    stats->filter_true_negatives[LsmStats::StatsLevel(level_)] += negatives;
-  }
+  RecordOutcome(Probe::kRange,
+                static_cast<uint64_t>(
+                    std::count(may_match, may_match + los.size(), false)),
+                0, stats);
 }
 
-void TableReader::AccountRangeOutcome(bool any_rows, LsmStats* stats) const {
-  if (filter_ == nullptr || any_rows) return;
-  rg_false_.fetch_add(1, std::memory_order_relaxed);
-  if (stats != nullptr) {
-    ++stats->filter_false_positives[LsmStats::StatsLevel(level_)];
+TableReader::Iterator TableReader::RangeCursor(uint64_t lo, uint64_t hi,
+                                               LsmStats* stats) const {
+  Iterator cursor(*this, stats, lo, /*use_cache=*/true);
+  if (cursor.ok() && !(cursor.Valid() && cursor.key() <= hi)) {
+    RecordOutcome(Probe::kRange, 0, 1, stats);
   }
+  return cursor;
 }
 
 TableReader::Iterator::Iterator(const TableReader& table, LsmStats* stats,

@@ -31,169 +31,124 @@
 
 namespace bloomrf {
 
+/// The scalar counters of LsmStats, declared once: X(name, kind), with
+/// kind kCounter (cumulative; Reset zeroes it) or kGauge (a level the
+/// engine maintains, such as a count of live objects or running jobs;
+/// Reset keeps it, because the engine adjusts it relative to its
+/// current value). Every member, copy, Accumulate and Reset is
+/// generated from this list and BLOOMRF_LSM_STATS_LEVEL_ARRAYS, so a
+/// counter added here is carried by all of them.
+#define BLOOMRF_LSM_STATS_SCALARS(X)                                        \
+  /* Read path: filter probes, physical block reads (cache misses           \
+     included) and the Fig. 12.G probe-cost breakdown. */                   \
+  X(filter_probes, kCounter)                                                \
+  X(blocks_read, kCounter)                                                  \
+  X(bytes_read, kCounter)                                                   \
+  X(block_cache_hits, kCounter)                                             \
+  X(block_cache_misses, kCounter)                                           \
+  X(filter_probe_nanos, kCounter)                                           \
+  X(io_nanos, kCounter)                                                     \
+  X(deser_nanos, kCounter)                                                  \
+  /* Write path: WAL records appended, bytes handed to write() (and         \
+     synced when wal_fsync is on), and physical group-commit writes;        \
+     appends/batches is the average group size under contention. */         \
+  X(wal_appends, kCounter)                                                  \
+  X(wal_synced_bytes, kCounter)                                             \
+  X(group_commit_batches, kCounter)                                         \
+  /* Maintenance path: background compactions completed/failed and the      \
+     bytes they moved; manifest edits appended and full snapshot            \
+     rewrites; tables quarantined (renamed aside as unreadable) at open     \
+     and data-block CRC mismatches caught at read time. */                  \
+  X(compactions, kCounter)                                                  \
+  X(compaction_failures, kCounter)                                          \
+  X(compaction_bytes_read, kCounter)                                        \
+  X(compaction_bytes_written, kCounter)                                     \
+  X(manifest_appends, kCounter)                                             \
+  X(manifest_rewrites, kCounter)                                            \
+  X(tables_quarantined, kCounter)                                           \
+  X(block_crc_errors, kCounter)                                             \
+  /* Delete path: tombstones written into SSTs (flush and compaction        \
+     outputs) and tombstones compaction dropped at the bottom-most          \
+     eligible level; the gauge is the tombstones live across the            \
+     published version's SSTs, recomputed when the version changes. */      \
+  X(tombstones_written, kCounter)                                           \
+  X(tombstones_dropped, kCounter)                                           \
+  X(tombstones_live, kGauge)                                                \
+  /* Parallel compaction: range-partitioned subcompaction workers run,      \
+     and the jobs executing right now (background jobs and manual           \
+     CompactRange both count). */                                           \
+  X(subcompactions_run, kCounter)                                           \
+  X(compactions_inflight, kGauge)
+
+/// The per-level counter arrays of LsmStats (kStatsLevels slots each,
+/// deeper levels folded into the last), all cumulative:
+///  - filter outcomes: a probe the filter allowed but the data blocks
+///    then rejected (false positive) vs a probe the filter rejected
+///    (true negative; the structures have no false negatives), so
+///    measured FPR = fp / (fp + tn);
+///  - compaction work attributed to the job's OUTPUT level: bytes in
+///    and out of each level's merges and the wall time they took.
+#define BLOOMRF_LSM_STATS_LEVEL_ARRAYS(X) \
+  X(filter_false_positives)               \
+  X(filter_true_negatives)                \
+  X(compaction_bytes_read_level)          \
+  X(compaction_bytes_written_level)       \
+  X(compaction_micros_level)
+
 /// Aggregated probe-cost counters (shared by DB across its tables).
 /// Fields are relaxed atomics so concurrent readers can account into
 /// one instance without tearing; copying takes a (non-atomic-as-a-
 /// whole) field-by-field snapshot, which is exact whenever the copier
 /// has quiesced the readers and merely approximate otherwise.
 struct LsmStats {
-  /// Levels with their own measured-FPR counters; deeper levels fold
-  /// into the last bucket.
+  /// Levels with their own per-level counters; deeper levels fold into
+  /// the last bucket.
   static constexpr size_t kStatsLevels = 8;
+  /// The kind column of BLOOMRF_LSM_STATS_SCALARS.
+  enum class Kind { kCounter, kGauge };
 
-  std::atomic<uint64_t> filter_probes{0};
-  std::atomic<uint64_t> filter_negatives{0};
-  // True false-positive accounting, per level: a probe the filter
-  // allowed but the data blocks then rejected (false positive) vs a
-  // probe the filter rejected (true negative — the structures have no
-  // false negatives). measured FPR = fp / (fp + tn).
-  std::atomic<uint64_t> filter_false_positives[kStatsLevels]{};
-  std::atomic<uint64_t> filter_true_negatives[kStatsLevels]{};
-  std::atomic<uint64_t> blocks_read{0};  // physical reads (cache misses incl.)
-  std::atomic<uint64_t> bytes_read{0};
-  std::atomic<uint64_t> block_cache_hits{0};
-  std::atomic<uint64_t> block_cache_misses{0};
-  std::atomic<uint64_t> filter_probe_nanos{0};
-  std::atomic<uint64_t> io_nanos{0};
-  std::atomic<uint64_t> deser_nanos{0};
-  // Write path: WAL records appended, bytes handed to write() (and
-  // synced when wal_fsync is on), and physical group-commit writes —
-  // appends/batches is the average group size under contention.
-  std::atomic<uint64_t> wal_appends{0};
-  std::atomic<uint64_t> wal_synced_bytes{0};
-  std::atomic<uint64_t> group_commit_batches{0};
-  // Maintenance path: background compactions completed/failed and the
-  // bytes they moved; manifest edits appended and full snapshot
-  // rewrites; tables quarantined (renamed aside as unreadable) at open
-  // and data-block CRC mismatches caught at read time.
-  std::atomic<uint64_t> compactions{0};
-  std::atomic<uint64_t> compaction_failures{0};
-  std::atomic<uint64_t> compaction_bytes_read{0};
-  std::atomic<uint64_t> compaction_bytes_written{0};
-  std::atomic<uint64_t> manifest_appends{0};
-  std::atomic<uint64_t> manifest_rewrites{0};
-  std::atomic<uint64_t> tables_quarantined{0};
-  std::atomic<uint64_t> block_crc_errors{0};
-  // Delete path: tombstones written into SSTs (flush + compaction
-  // outputs, cumulative), tombstones physically dropped by compaction
-  // at the bottom-most eligible level (cumulative), and tombstones
-  // currently live across the published version's SSTs (a gauge,
-  // recomputed whenever the version changes).
-  std::atomic<uint64_t> tombstones_written{0};
-  std::atomic<uint64_t> tombstones_dropped{0};
-  std::atomic<uint64_t> tombstones_live{0};
-  // Parallel-compaction observability, attributed to the job's OUTPUT
-  // level (folded into the same buckets as the FPR counters): bytes in
-  // and out of each level's merges and the wall time they took, plus
-  // the number of range-partitioned subcompaction workers run and the
-  // jobs executing right now (a gauge — background jobs and manual
-  // CompactRange both count).
-  std::atomic<uint64_t> compaction_bytes_read_level[kStatsLevels]{};
-  std::atomic<uint64_t> compaction_bytes_written_level[kStatsLevels]{};
-  std::atomic<uint64_t> compaction_micros_level[kStatsLevels]{};
-  std::atomic<uint64_t> subcompactions_run{0};
-  std::atomic<uint64_t> compactions_inflight{0};
+#define BLOOMRF_LSM_STATS_DECLARE_SCALAR(name, kind) \
+  std::atomic<uint64_t> name{0};
+#define BLOOMRF_LSM_STATS_DECLARE_ARRAY(name) \
+  std::atomic<uint64_t> name[kStatsLevels]{};
+  BLOOMRF_LSM_STATS_SCALARS(BLOOMRF_LSM_STATS_DECLARE_SCALAR)
+  BLOOMRF_LSM_STATS_LEVEL_ARRAYS(BLOOMRF_LSM_STATS_DECLARE_ARRAY)
+#undef BLOOMRF_LSM_STATS_DECLARE_SCALAR
+#undef BLOOMRF_LSM_STATS_DECLARE_ARRAY
 
   LsmStats() = default;
   LsmStats(const LsmStats& o) { *this = o; }
   LsmStats& operator=(const LsmStats& o) {
     if (this == &o) return *this;
-    filter_probes = o.filter_probes.load(std::memory_order_relaxed);
-    filter_negatives = o.filter_negatives.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      filter_false_positives[l] =
-          o.filter_false_positives[l].load(std::memory_order_relaxed);
-      filter_true_negatives[l] =
-          o.filter_true_negatives[l].load(std::memory_order_relaxed);
-    }
-    blocks_read = o.blocks_read.load(std::memory_order_relaxed);
-    bytes_read = o.bytes_read.load(std::memory_order_relaxed);
-    block_cache_hits = o.block_cache_hits.load(std::memory_order_relaxed);
-    block_cache_misses = o.block_cache_misses.load(std::memory_order_relaxed);
-    filter_probe_nanos = o.filter_probe_nanos.load(std::memory_order_relaxed);
-    io_nanos = o.io_nanos.load(std::memory_order_relaxed);
-    deser_nanos = o.deser_nanos.load(std::memory_order_relaxed);
-    wal_appends = o.wal_appends.load(std::memory_order_relaxed);
-    wal_synced_bytes = o.wal_synced_bytes.load(std::memory_order_relaxed);
-    group_commit_batches =
-        o.group_commit_batches.load(std::memory_order_relaxed);
-    compactions = o.compactions.load(std::memory_order_relaxed);
-    compaction_failures =
-        o.compaction_failures.load(std::memory_order_relaxed);
-    compaction_bytes_read =
-        o.compaction_bytes_read.load(std::memory_order_relaxed);
-    compaction_bytes_written =
-        o.compaction_bytes_written.load(std::memory_order_relaxed);
-    manifest_appends = o.manifest_appends.load(std::memory_order_relaxed);
-    manifest_rewrites = o.manifest_rewrites.load(std::memory_order_relaxed);
-    tables_quarantined = o.tables_quarantined.load(std::memory_order_relaxed);
-    block_crc_errors = o.block_crc_errors.load(std::memory_order_relaxed);
-    tombstones_written = o.tombstones_written.load(std::memory_order_relaxed);
-    tombstones_dropped = o.tombstones_dropped.load(std::memory_order_relaxed);
-    tombstones_live = o.tombstones_live.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      compaction_bytes_read_level[l] =
-          o.compaction_bytes_read_level[l].load(std::memory_order_relaxed);
-      compaction_bytes_written_level[l] =
-          o.compaction_bytes_written_level[l].load(std::memory_order_relaxed);
-      compaction_micros_level[l] =
-          o.compaction_micros_level[l].load(std::memory_order_relaxed);
-    }
-    subcompactions_run = o.subcompactions_run.load(std::memory_order_relaxed);
-    compactions_inflight =
-        o.compactions_inflight.load(std::memory_order_relaxed);
+    ForEachCounter(o, [](std::atomic<uint64_t>& mine,
+                         const std::atomic<uint64_t>& theirs, Kind) {
+      mine.store(theirs.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    });
     SetLastError(o.last_error());
     return *this;
   }
 
   /// Adds another instance's counters into this one (shard roll-up).
+  /// Gauges add up too: the roll-up of per-shard levels is their sum.
   void Accumulate(const LsmStats& o) {
-    filter_probes += o.filter_probes.load(std::memory_order_relaxed);
-    filter_negatives += o.filter_negatives.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      filter_false_positives[l] +=
-          o.filter_false_positives[l].load(std::memory_order_relaxed);
-      filter_true_negatives[l] +=
-          o.filter_true_negatives[l].load(std::memory_order_relaxed);
-    }
-    blocks_read += o.blocks_read.load(std::memory_order_relaxed);
-    bytes_read += o.bytes_read.load(std::memory_order_relaxed);
-    block_cache_hits += o.block_cache_hits.load(std::memory_order_relaxed);
-    block_cache_misses += o.block_cache_misses.load(std::memory_order_relaxed);
-    filter_probe_nanos += o.filter_probe_nanos.load(std::memory_order_relaxed);
-    io_nanos += o.io_nanos.load(std::memory_order_relaxed);
-    deser_nanos += o.deser_nanos.load(std::memory_order_relaxed);
-    wal_appends += o.wal_appends.load(std::memory_order_relaxed);
-    wal_synced_bytes += o.wal_synced_bytes.load(std::memory_order_relaxed);
-    group_commit_batches +=
-        o.group_commit_batches.load(std::memory_order_relaxed);
-    compactions += o.compactions.load(std::memory_order_relaxed);
-    compaction_failures +=
-        o.compaction_failures.load(std::memory_order_relaxed);
-    compaction_bytes_read +=
-        o.compaction_bytes_read.load(std::memory_order_relaxed);
-    compaction_bytes_written +=
-        o.compaction_bytes_written.load(std::memory_order_relaxed);
-    manifest_appends += o.manifest_appends.load(std::memory_order_relaxed);
-    manifest_rewrites += o.manifest_rewrites.load(std::memory_order_relaxed);
-    tables_quarantined +=
-        o.tables_quarantined.load(std::memory_order_relaxed);
-    block_crc_errors += o.block_crc_errors.load(std::memory_order_relaxed);
-    tombstones_written += o.tombstones_written.load(std::memory_order_relaxed);
-    tombstones_dropped += o.tombstones_dropped.load(std::memory_order_relaxed);
-    tombstones_live += o.tombstones_live.load(std::memory_order_relaxed);
-    for (size_t l = 0; l < kStatsLevels; ++l) {
-      compaction_bytes_read_level[l] +=
-          o.compaction_bytes_read_level[l].load(std::memory_order_relaxed);
-      compaction_bytes_written_level[l] +=
-          o.compaction_bytes_written_level[l].load(std::memory_order_relaxed);
-      compaction_micros_level[l] +=
-          o.compaction_micros_level[l].load(std::memory_order_relaxed);
-    }
-    subcompactions_run += o.subcompactions_run.load(std::memory_order_relaxed);
-    compactions_inflight +=
-        o.compactions_inflight.load(std::memory_order_relaxed);
+    ForEachCounter(o, [](std::atomic<uint64_t>& mine,
+                         const std::atomic<uint64_t>& theirs, Kind) {
+      mine.fetch_add(theirs.load(std::memory_order_relaxed),
+                     std::memory_order_relaxed);
+    });
     if (last_error().empty()) SetLastError(o.last_error());
+  }
+
+  /// Zeroes every cumulative counter and clears last_error(). Gauges
+  /// keep their value: they describe the engine's current state, and a
+  /// job running across the reset still decrements its gauge.
+  void Reset() {
+    ForEachCounter(*this, [](std::atomic<uint64_t>& mine,
+                             const std::atomic<uint64_t>&, Kind kind) {
+      if (kind == Kind::kCounter) mine.store(0, std::memory_order_relaxed);
+    });
+    SetLastError("");
   }
 
   /// Most recent write-path failure (WAL open/write, flush I/O) — why
@@ -236,9 +191,23 @@ struct LsmStats {
                : 0.0;
   }
 
-  void Reset() { *this = LsmStats{}; }
-
  private:
+  /// Calls fn(mine, theirs, kind) for every counter and level slot of
+  /// this instance, paired with the same slot of `o`.
+  template <typename Fn>
+  void ForEachCounter(const LsmStats& o, Fn fn) {
+#define BLOOMRF_LSM_STATS_VISIT_SCALAR(name, kind) \
+  fn(name, o.name, Kind::kind);
+#define BLOOMRF_LSM_STATS_VISIT_ARRAY(name)    \
+  for (size_t l = 0; l < kStatsLevels; ++l) { \
+    fn(name[l], o.name[l], Kind::kCounter);   \
+  }
+    BLOOMRF_LSM_STATS_SCALARS(BLOOMRF_LSM_STATS_VISIT_SCALAR)
+    BLOOMRF_LSM_STATS_LEVEL_ARRAYS(BLOOMRF_LSM_STATS_VISIT_ARRAY)
+#undef BLOOMRF_LSM_STATS_VISIT_SCALAR
+#undef BLOOMRF_LSM_STATS_VISIT_ARRAY
+  }
+
   mutable std::mutex err_mu_;
   std::string last_error_;
 };
@@ -264,9 +233,11 @@ class TableReader {
   /// Tri-state point lookup: kHit fills `value` (when non-null),
   /// kTombstone means this table holds a deletion of the key — the
   /// caller must stop the newest-first walk and report "absent", never
-  /// fall through to an older table. A tombstone hit confirms the
-  /// filter's answer (the key IS in the table), so it is not counted
-  /// as a false positive.
+  /// fall through to an older table. Records the filter's outcome
+  /// (RecordOutcome): a rejection is a true negative, an allowed key
+  /// the blocks lack a false positive. A tombstone hit confirms the
+  /// filter's answer (the key IS in the table), and an unreadable block
+  /// leaves the answer unknown; neither records an outcome.
   Lookup Find(uint64_t key, std::string* value, LsmStats* stats) const;
 
   /// Live-value lookup: Find == kHit. `value` may be null (existence
@@ -283,15 +254,18 @@ class TableReader {
   /// resolved are skipped, so a DB can chain the same arrays through
   /// tables newest-first. The filter is consulted once per batch via
   /// MayContainBatch, and each surviving data block is fetched and
-  /// parsed once for all keys mapping to it. Returns the number of
-  /// newly resolved keys (hits + tombstones).
+  /// parsed once for all keys mapping to it. Records outcomes by
+  /// Find's rule. Returns the number of newly resolved keys (hits +
+  /// tombstones).
   size_t MultiGet(std::span<const uint64_t> keys, Lookup* states,
                   std::string* values, LsmStats* stats) const;
 
   /// Batched range filter probe: may_match[i] holds this table's
   /// filter answer for [los[i], his[i]] (true when the table has no
   /// filter). One planned MayContainRangeBatch per call instead of N
-  /// scalar descents — the filter-side half of Db::ScanRange.
+  /// scalar descents — the filter-side half of Db::ScanRange. Records
+  /// each rejection as a true negative; the outcome of an allowed range
+  /// is recorded by the RangeCursor that reads it.
   void RangeMultiProbe(std::span<const uint64_t> los,
                        std::span<const uint64_t> his, bool* may_match,
                        LsmStats* stats) const;
@@ -325,33 +299,19 @@ class TableReader {
   /// from the framed filter block); "" when the table has no filter.
   const std::string& filter_backend() const { return filter_backend_; }
 
-  /// Lifetime probe outcomes of this table's filter, keyed for
-  /// per-backend feedback aggregation (Db::CollectFilterFeedback).
-  struct FilterOutcomes {
-    uint64_t point_allowed = 0;
-    uint64_t point_false = 0;
-    uint64_t point_negatives = 0;
-    uint64_t range_allowed = 0;
-    uint64_t range_false = 0;
-    uint64_t range_negatives = 0;
-  };
+  /// Lifetime probe outcomes of this table's filter, the per-table
+  /// view of the outcome ledger (see RecordOutcome): it dies with the
+  /// table and feeds the planner per backend (Db::CollectFilterFeedback).
   FilterOutcomes filter_outcomes() const {
+    constexpr auto kPoint = static_cast<size_t>(Probe::kPoint);
+    constexpr auto kRange = static_cast<size_t>(Probe::kRange);
     FilterOutcomes out;
-    out.point_allowed = pt_allowed_.load(std::memory_order_relaxed);
-    out.point_false = pt_false_.load(std::memory_order_relaxed);
-    out.point_negatives = pt_neg_.load(std::memory_order_relaxed);
-    out.range_allowed = rg_allowed_.load(std::memory_order_relaxed);
-    out.range_false = rg_false_.load(std::memory_order_relaxed);
-    out.range_negatives = rg_neg_.load(std::memory_order_relaxed);
+    out.point_false = false_positives_[kPoint].load(std::memory_order_relaxed);
+    out.point_negatives = negatives_[kPoint].load(std::memory_order_relaxed);
+    out.range_false = false_positives_[kRange].load(std::memory_order_relaxed);
+    out.range_negatives = negatives_[kRange].load(std::memory_order_relaxed);
     return out;
   }
-
-  /// Closes the loop for a range probe the filter allowed: callers of
-  /// RangeMultiProbe report whether the blocks held any entry in the
-  /// range (Db::ScanRange: the range's cursor opened on one); none
-  /// means the filter answer was a false positive. No-op when the
-  /// table has no filter.
-  void AccountRangeOutcome(bool any_rows, LsmStats* stats) const;
 
   /// Sorted cursor over the table's entries (tombstones included),
   /// positioned on the first entry with key >= `start_key` (past the
@@ -387,6 +347,14 @@ class TableReader {
     bool ok_ = true;
   };
 
+  /// Cursor for a range [lo, hi] this table's filter allowed
+  /// (RangeMultiProbe said "maybe"): a cache-aware Iterator at `lo`
+  /// that also closes the loop on the probe. No entry in [lo, hi] means
+  /// the filter's answer was a false positive (a tombstone confirms it
+  /// — the key is in the table); a block that fails to read records no
+  /// outcome, since the answer is unknown.
+  Iterator RangeCursor(uint64_t lo, uint64_t hi, LsmStats* stats) const;
+
  private:
   TableReader() = default;
 
@@ -410,6 +378,17 @@ class TableReader {
   /// Index position of the first block whose last_key >= key, or -1.
   int64_t FindBlock(uint64_t key) const;
 
+  enum class Probe { kPoint, kRange };
+  /// The outcome ledger: the only code that records filter outcomes.
+  /// `negatives` probes the filter rejected (definite true negatives)
+  /// and `false_positives` probes it allowed that the data blocks then
+  /// rejected. Feeds both views: this table's filter_outcomes() and
+  /// the per-level LsmStats arrays (cumulative, so they survive
+  /// compaction). A probe the blocks confirmed, or whose block failed
+  /// to read, is recorded nowhere. No-op when the table has no filter.
+  void RecordOutcome(Probe probe, uint64_t negatives,
+                     uint64_t false_positives, LsmStats* stats) const;
+
   std::FILE* file_ = nullptr;
   /// Serializes seek+read on platforms without pread (Windows); unused
   /// on POSIX, where positioned reads need no shared cursor.
@@ -427,13 +406,10 @@ class TableReader {
   bool has_tombstone_flags_ = false;  // v3: entry meta packs tombstone bit
   uint32_t level_ = 0;          // LSM level (set before sharing)
   std::string filter_backend_;  // registry name from the framed block
-  // Per-table probe outcomes (relaxed; read via filter_outcomes()).
-  mutable std::atomic<uint64_t> pt_allowed_{0};
-  mutable std::atomic<uint64_t> pt_false_{0};
-  mutable std::atomic<uint64_t> pt_neg_{0};
-  mutable std::atomic<uint64_t> rg_allowed_{0};
-  mutable std::atomic<uint64_t> rg_false_{0};
-  mutable std::atomic<uint64_t> rg_neg_{0};
+  // Per-table probe outcomes, indexed by Probe: relaxed, written only
+  // by RecordOutcome.
+  mutable std::atomic<uint64_t> negatives_[2]{};
+  mutable std::atomic<uint64_t> false_positives_[2]{};
   std::string path_;
 };
 

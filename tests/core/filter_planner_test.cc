@@ -128,7 +128,6 @@ TEST(FilterPlannerTest, MeasuredDivergenceDistrustsTheModel) {
 
   FilterFeedback feedback;
   BackendObservation* obs = feedback.FindOrAdd("blocked_bloom");
-  obs->point_allowed = 5'000;
   obs->point_false = 5'000;  // measured FPR ~0.33 vs model ~1e-4
   obs->point_negatives = 10'000;
   FilterPlan distrusting = PlanFilter(snap, 100'000, options, &feedback);

@@ -37,7 +37,7 @@ TEST_F(EndToEndTest, Experiment1MiniatureBloomRF) {
   EXPECT_LT(result.range_fpr, 0.10);
   EXPECT_LT(result.point_fpr, 0.02);
   // Filters must have produced negatives (I/O skipped).
-  EXPECT_GT(result.stats.filter_negatives, 0u);
+  EXPECT_GT(result.stats.total_filter_true_negatives(), 0u);
   double bpk = static_cast<double>(result.filter_bits) /
                static_cast<double>(data.keys.size());
   EXPECT_GT(bpk, 20.0);

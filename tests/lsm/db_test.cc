@@ -127,7 +127,7 @@ TEST_F(DbTest, FiltersEliminateIoOnEmptyQueries) {
   ASSERT_GT(empties, 0u);
   EXPECT_LT(static_cast<double>(fp) / static_cast<double>(empties), 0.08);
   const LsmStats& stats = db.stats();
-  EXPECT_GT(stats.filter_negatives, 0u);
+  EXPECT_GT(stats.total_filter_true_negatives(), 0u);
   // Block reads only on (rare) positives.
   EXPECT_LT(stats.blocks_read, stats.filter_probes / 4);
 }

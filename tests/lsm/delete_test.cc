@@ -133,7 +133,7 @@ TEST_F(DeleteTest, TombstonedKeysStayInTheFilter) {
   }
   // Every tombstoned key passed the filter (zero negatives), and a
   // tombstone hit is a CONFIRMED answer — not a false positive.
-  EXPECT_EQ(stats.filter_negatives, 0u);
+  EXPECT_EQ(stats.total_filter_true_negatives(), 0u);
   EXPECT_EQ(reader->filter_outcomes().point_false, 0u);
 }
 

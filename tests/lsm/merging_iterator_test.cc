@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -15,7 +14,7 @@
 
 #include "lsm/db.h"
 #include "lsm/table_builder.h"
-#include "util/coding.h"
+#include "tests/test_util.h"
 #include "workload/key_generator.h"
 
 namespace bloomrf {
@@ -180,24 +179,6 @@ TEST_F(MergingIteratorTest, MixesMemtableAndTableCursors) {
   }
 }
 
-/// Flips one byte in the middle of `path`'s data-block region (v3
-/// footer: the index offset is the first footer field, and the data
-/// blocks fill [0, index offset)).
-void CorruptMiddleDataBlock(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  char footer[56];
-  ASSERT_EQ(std::fseek(f, -56, SEEK_END), 0);
-  ASSERT_EQ(std::fread(footer, 1, sizeof(footer), f), sizeof(footer));
-  const long middle = static_cast<long>(DecodeFixed64(footer) / 2);
-  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
-  const int byte = std::fgetc(f);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
-  std::fputc(byte ^ 0xff, f);
-  std::fclose(f);
-}
-
 std::set<std::string> SstFiles(const std::string& dir) {
   std::set<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -226,8 +207,8 @@ TEST_F(MergingIteratorTest, CompactionAbortsOnUnreadableInput) {
   for (uint64_t k = 0; k < 2000; ++k) ASSERT_TRUE(db.Put(k, "newer"));
   ASSERT_TRUE(db.Flush());
   ASSERT_EQ(db.num_tables(), 2u);
-  ASSERT_NO_FATAL_FAILURE(
-      CorruptMiddleDataBlock(options.dir + "/" + *older_sst.begin()));
+  ASSERT_NO_FATAL_FAILURE(testing::CorruptMiddleDataBlock(
+      options.dir + "/" + *older_sst.begin()));
   const std::set<std::string> before = SstFiles(options.dir);
 
   EXPECT_FALSE(db.CompactAll());

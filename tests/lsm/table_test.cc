@@ -53,7 +53,7 @@ TEST_F(TableTest, BuildAndReadBack) {
   for (uint64_t k = 1; k < 10000; k += 3) {
     EXPECT_FALSE(reader->Get(k, &value, &stats));
   }
-  EXPECT_GT(stats.filter_negatives, stats.filter_probes / 2);
+  EXPECT_GT(stats.total_filter_true_negatives(), stats.filter_probes / 2);
 }
 
 TEST_F(TableTest, RangeScanHonoursFilter) {
@@ -96,7 +96,7 @@ TEST_F(TableTest, RangeScanHonoursFilter) {
     }
   }
   EXPECT_GE(excluded, 15u);
-  EXPECT_EQ(stats.filter_negatives, excluded);
+  EXPECT_EQ(stats.total_filter_true_negatives(), excluded);
   // Negative probes read no blocks; only the (rare) positives may.
   EXPECT_LE(stats.blocks_read, 20u - excluded);
 }

@@ -1,14 +1,19 @@
-// Shared helpers for the test suite: deterministic key sets and
-// ground-truth range emptiness.
+// Shared helpers for the test suite: deterministic key sets,
+// ground-truth range emptiness and SST corruption.
 
 #ifndef BLOOMRF_TESTS_TEST_UTIL_H_
 #define BLOOMRF_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace bloomrf::testing {
@@ -34,6 +39,25 @@ inline bool GroundTruthRange(const std::set<uint64_t>& keys, uint64_t lo,
 inline uint64_t RangeEnd(uint64_t lo, uint64_t size) {
   if (size == 0) size = 1;
   return lo > UINT64_MAX - (size - 1) ? UINT64_MAX : lo + (size - 1);
+}
+
+/// Flips one byte in the middle of `path`'s data-block region (v3
+/// footer: the index offset is the first footer field, and the data
+/// blocks fill [0, index offset)). The table still opens; reads of the
+/// block fail its CRC.
+inline void CorruptMiddleDataBlock(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  char footer[56];
+  ASSERT_EQ(std::fseek(f, -56, SEEK_END), 0);
+  ASSERT_EQ(std::fread(footer, 1, sizeof(footer), f), sizeof(footer));
+  const long middle = static_cast<long>(DecodeFixed64(footer) / 2);
+  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, middle, SEEK_SET), 0);
+  std::fputc(byte ^ 0xff, f);
+  std::fclose(f);
 }
 
 }  // namespace bloomrf::testing
