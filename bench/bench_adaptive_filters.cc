@@ -145,7 +145,6 @@ std::unique_ptr<Db> MakeDb(const std::string& dir,
   // the planner optimizes — is what the clock sees, instead of being
   // hidden behind cache-hot ~100ns block probes.
   options.block_cache_bytes = 0;
-  options.background_flush = false;
   options.wal = false;
   options.sample_queries = sample;
   auto db = std::make_unique<Db>(options);

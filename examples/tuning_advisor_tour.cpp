@@ -77,7 +77,6 @@ int main() {
     options.dir = dir;
     options.filter_policy = std::move(policy);
     options.memtable_bytes = 8 << 20;
-    options.background_flush = false;
     options.wal = false;
     Db db(options);  // the policy wires a workload sampler automatically
     Rng rng(0x70ad);

@@ -11,15 +11,13 @@ namespace bloomrf {
 
 namespace {
 
-// Serialized format tags. V2 adds the hash-scheme byte (hash-once
-// replica derivation); V1 blocks predate it and always probe with the
-// legacy per-replica scheme.
-constexpr uint32_t kFormatTagV1 = 0xb100f001;
+// Serialized format tag, and the hash-scheme byte the format carries:
+// 1 = hash-once replica derivation (one Hash64 per word key, replica
+// r's slot by Kirsch-Mitzenmacher double hashing), the only scheme.
 constexpr uint32_t kFormatTagV2 = 0xb100f002;
+constexpr uint8_t kSchemeDoubleHash = 1;
 
-// Replica r's slot from the base hash (kDoubleHash scheme). r == 0
-// reduces to FastRange64(h, n), so single-replica layers lay out bits
-// identically to the legacy scheme.
+// Replica r's slot from the word key's base hash: h + r * stride(h).
 inline uint64_t SlotFromHash(uint64_t h, uint32_t r, uint64_t num_slots) {
   return FastRange64(h + r * DeriveStride(h), num_slots);
 }
@@ -60,16 +58,6 @@ BloomRF::BloomRF(BloomRFConfig config) : config_(std::move(config)) {
   }
 }
 
-uint64_t BloomRF::SlotOf(const Layer& layer, uint64_t word_key,
-                         uint32_t replica) const {
-  if (config_.hash_scheme == HashScheme::kLegacyPerReplica) {
-    return FastRange64(Hash64(word_key, layer.seed_base + replica),
-                       layer.num_slots);
-  }
-  return SlotFromHash(Hash64(word_key, layer.seed_base), replica,
-                      layer.num_slots);
-}
-
 bool BloomRF::WordReversed(const Layer& layer, uint64_t word_key) const {
   if (!config_.permute_words || layer.word_bits == 1) return false;
   return Hash64(word_key, perm_seed_) & 1;
@@ -79,7 +67,8 @@ uint64_t BloomRF::WordIndexForKey(uint64_t key, size_t layer_idx,
                                   uint32_t replica) const {
   const Layer& layer = layers_[layer_idx];
   uint64_t word_key = Shr(key, layer.level + layer.offset_bits);
-  return SlotOf(layer, word_key, replica);
+  return SlotFromHash(Hash64(word_key, layer.seed_base), replica,
+                      layer.num_slots);
 }
 
 void BloomRF::Insert(uint64_t key) {
@@ -92,15 +81,9 @@ void BloomRF::Insert(uint64_t key) {
     }
     uint64_t bit = uint64_t{1} << offset;
     BitArray& seg = segments_[layer.segment];
-    if (config_.hash_scheme == HashScheme::kDoubleHash) {
-      uint64_t h = Hash64(word_key, layer.seed_base);
-      for (uint32_t r = 0; r < layer.replicas; ++r) {
-        seg.OrWord(SlotFromHash(h, r, layer.num_slots), layer.word_bits, bit);
-      }
-    } else {
-      for (uint32_t r = 0; r < layer.replicas; ++r) {
-        seg.OrWord(SlotOf(layer, word_key, r), layer.word_bits, bit);
-      }
+    uint64_t h = Hash64(word_key, layer.seed_base);
+    for (uint32_t r = 0; r < layer.replicas; ++r) {
+      seg.OrWord(SlotFromHash(h, r, layer.num_slots), layer.word_bits, bit);
     }
   }
   if (config_.has_exact_layer) {
@@ -109,15 +92,7 @@ void BloomRF::Insert(uint64_t key) {
 }
 
 uint64_t BloomRF::LoadWordAnd(const Layer& layer, uint64_t word_key) const {
-  if (config_.hash_scheme == HashScheme::kDoubleHash) {
-    return LoadWordAndFromHash(layer, Hash64(word_key, layer.seed_base));
-  }
-  const BitArray& seg = segments_[layer.segment];
-  uint64_t word = seg.LoadWord(SlotOf(layer, word_key, 0), layer.word_bits);
-  for (uint32_t r = 1; r < layer.replicas && word != 0; ++r) {
-    word &= seg.LoadWord(SlotOf(layer, word_key, r), layer.word_bits);
-  }
-  return word;
+  return LoadWordAndFromHash(layer, Hash64(word_key, layer.seed_base));
 }
 
 uint64_t BloomRF::LoadWordAndFromHash(const Layer& layer,
@@ -183,12 +158,6 @@ bool BloomRF::MayContain(uint64_t key, ProbeStats* stats) const {
 void BloomRF::MayContainBatch(std::span<const uint64_t> keys,
                               bool* out) const {
   if (keys.empty()) return;
-  if (config_.hash_scheme == HashScheme::kLegacyPerReplica) {
-    // Pre-bump blocks: the probe pass below derives replica slots from
-    // the stored base hash, which only matches the hash-once layout.
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = MayContain(keys[i]);
-    return;
-  }
   // One probe slot per (layer, replica); the planning pass resolves
   // each slot of each key to a final (block index, bit mask) pair so
   // the probe pass is nothing but SIMD gather-tests.
@@ -351,14 +320,9 @@ void BloomRF::MayContainRangeBatch(std::span<const uint64_t> los,
     u.mask = in_mask;
     u.nrep = layer.replicas;
     const BitArray& seg = segments_[layer.segment];
-    uint64_t h = config_.hash_scheme == HashScheme::kDoubleHash
-                     ? Hash64(wk, layer.seed_base)
-                     : 0;
+    uint64_t h = Hash64(wk, layer.seed_base);
     for (uint32_t r = 0; r < layer.replicas; ++r) {
-      uint64_t slot = config_.hash_scheme == HashScheme::kDoubleHash
-                          ? SlotFromHash(h, r, layer.num_slots)
-                          : SlotOf(layer, wk, r);
-      uint64_t bitbase = slot * layer.word_bits;
+      uint64_t bitbase = SlotFromHash(h, r, layer.num_slots) * layer.word_bits;
       u.blk[r] = bitbase >> 6;
       u.shift[r] = static_cast<uint32_t>(bitbase & 63);
       seg.PrefetchBlock(bitbase >> 6);
@@ -744,10 +708,7 @@ std::vector<double> BloomRF::ZeroBitFractions() const {
 
 std::string BloomRF::Serialize() const {
   std::string out;
-  // Legacy-scheme filters write the V1 layout byte for byte, so a
-  // round trip through Deserialize preserves pre-bump blocks exactly.
-  const bool legacy = config_.hash_scheme == HashScheme::kLegacyPerReplica;
-  PutFixed32(&out, legacy ? kFormatTagV1 : kFormatTagV2);
+  PutFixed32(&out, kFormatTagV2);
   PutFixed32(&out, config_.domain_bits);
   PutFixed32(&out, static_cast<uint32_t>(config_.num_layers()));
   for (size_t i = 0; i < config_.num_layers(); ++i) {
@@ -759,9 +720,7 @@ std::string BloomRF::Serialize() const {
   for (uint64_t m : config_.segment_bits) PutFixed64(&out, m);
   out.push_back(config_.has_exact_layer ? 1 : 0);
   out.push_back(config_.permute_words ? 1 : 0);
-  if (!legacy) {
-    out.push_back(static_cast<char>(config_.hash_scheme));
-  }
+  out.push_back(static_cast<char>(kSchemeDoubleHash));
   PutFixed64(&out, config_.seed);
   for (const BitArray& seg : segments_) seg.SerializeTo(&out);
   if (config_.has_exact_layer) exact_.SerializeTo(&out);
@@ -778,7 +737,7 @@ std::optional<BloomRF> BloomRF::Deserialize(std::string_view data) {
   };
   if (!need(12)) return std::nullopt;
   uint32_t tag = DecodeFixed32(data.data());
-  if (tag != kFormatTagV1 && tag != kFormatTagV2) return std::nullopt;
+  if (tag != kFormatTagV2) return std::nullopt;
   BloomRFConfig cfg;
   cfg.domain_bits = DecodeFixed32(data.data() + 4);
   uint32_t k = DecodeFixed32(data.data() + 8);
@@ -799,17 +758,11 @@ std::optional<BloomRF> BloomRF::Deserialize(std::string_view data) {
     cfg.segment_bits.push_back(DecodeFixed64(data.data() + pos));
     pos += 8;
   }
-  if (!need(tag == kFormatTagV2 ? 11 : 10)) return std::nullopt;
+  if (!need(11)) return std::nullopt;
   cfg.has_exact_layer = data[pos++] != 0;
   cfg.permute_words = data[pos++] != 0;
-  if (tag == kFormatTagV2) {
-    uint8_t scheme = static_cast<uint8_t>(data[pos++]);
-    if (scheme > static_cast<uint8_t>(HashScheme::kDoubleHash)) {
-      return std::nullopt;
-    }
-    cfg.hash_scheme = static_cast<HashScheme>(scheme);
-  } else {
-    cfg.hash_scheme = HashScheme::kLegacyPerReplica;
+  if (static_cast<uint8_t>(data[pos++]) != kSchemeDoubleHash) {
+    return std::nullopt;
   }
   cfg.seed = DecodeFixed64(data.data() + pos);
   pos += 8;

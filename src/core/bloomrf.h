@@ -119,20 +119,18 @@ class BloomRF {
     uint32_t replicas;
     uint32_t segment;
     uint64_t num_slots;  // segment_bits / word_bits
-    uint64_t seed_base;  // replica r uses seed_base + r
+    uint64_t seed_base;  // hash seed of this layer's word keys
   };
 
   static uint64_t Shr(uint64_t v, uint32_t s) { return s >= 64 ? 0 : v >> s; }
 
-  uint64_t SlotOf(const Layer& layer, uint64_t word_key,
-                  uint32_t replica) const;
   bool WordReversed(const Layer& layer, uint64_t word_key) const;
 
   /// Reads the AND of all replica words for `word_key` on `layer`.
   uint64_t LoadWordAnd(const Layer& layer, uint64_t word_key) const;
 
-  /// Same, but from an already-computed base hash (hash-once scheme
-  /// only) — the probe pass of the planned engine.
+  /// Same, but from an already-computed base hash — the probe pass of
+  /// the planned engine.
   uint64_t LoadWordAndFromHash(const Layer& layer, uint64_t hash) const;
 
   /// Keys per planning stripe: large enough that prefetches land

@@ -18,21 +18,6 @@
 
 namespace bloomrf {
 
-/// How a layer derives the slots of its `replicas` hash functions.
-/// The scheme is part of the serialized filter format: bits land in
-/// different slots per scheme, so a stored block must be probed with
-/// the scheme it was built under.
-enum class HashScheme : uint8_t {
-  /// Pre-format-2 layout: replica r hashes the word key independently
-  /// with seed_base + r (one full Hash64 per replica). Kept so blocks
-  /// serialized before the format bump still load and answer.
-  kLegacyPerReplica = 0,
-  /// Hash-once layout: one Hash64 per word key; replica r's slot is
-  /// derived by Kirsch-Mitzenmacher double hashing, h + r * stride(h).
-  /// Identical to the legacy layout when replicas == 1.
-  kDoubleHash = 1,
-};
-
 struct BloomRFConfig {
   /// Domain size in bits (d). Keys live in [0, 2^d). 64 for the native
   /// uint64 domain; smaller values are used by tests for exhaustive
@@ -44,7 +29,9 @@ struct BloomRFConfig {
   std::vector<uint8_t> delta;
 
   /// Replicated hash functions per layer, r_i >= 1 (Sect. 7). Basic
-  /// bloomRF uses 1 everywhere.
+  /// bloomRF uses 1 everywhere. The word key is hashed once; replica
+  /// r's slot is h + r * stride(h) (Kirsch-Mitzenmacher double
+  /// hashing), so extra replicas cost no extra Hash64.
   std::vector<uint8_t> replicas;
 
   /// Memory segment per layer (index into segment_bits). Basic bloomRF
@@ -66,11 +53,6 @@ struct BloomRFConfig {
 
   /// Seed for all layer hash functions.
   uint64_t seed = 0xb100f117e55eedULL;
-
-  /// Replica slot derivation (see HashScheme). New filters default to
-  /// the hash-once double-hashing scheme; Deserialize sets the legacy
-  /// scheme for blocks written before the format bump.
-  HashScheme hash_scheme = HashScheme::kDoubleHash;
 
   /// Probe caps: ranges that would require scanning more than this many
   /// words at the topmost layer (or bits of the exact bitmap) return a

@@ -2,10 +2,8 @@
 //
 // A block is a sorted run of (uint64 key, value) entries:
 //   entry := key:fixed64  meta:fixed32  value_bytes
-// In format v3 tables the meta word packs the value length in its low
-// 31 bits and a tombstone flag (deletion marker, empty value) in the
-// top bit; v1/v2 tables predate deletes, so their meta word is the
-// full 32-bit value length and parses byte-identically to before.
+// The meta word packs the value length in its low 31 bits and a
+// tombstone flag (deletion marker, empty value) in the top bit.
 // Blocks target Options::block_size bytes (RocksDB-style 4 KiB
 // default); the index block stores each data block's last key.
 
@@ -62,15 +60,15 @@ class BlockBuilder {
 struct BlockEntry {
   uint64_t key;
   std::string_view value;  // points into the block's backing buffer
-  bool tombstone = false;  // always false in pre-v3 tables
+  bool tombstone = false;
 };
 
 /// Parses a serialized block. Returns false on corruption.
-/// `tombstone_flags` selects the v3 meta-word decoding (top bit =
-/// tombstone); pre-v3 tables pass false and keep their original full
-/// 32-bit length decoding.
+/// `tombstone_flags` (the SST format) decodes the meta word's top bit
+/// as the tombstone flag; false reads the whole word as the value
+/// length, for blocks known to hold no tombstones.
 bool ParseBlock(std::string_view data, std::vector<BlockEntry>* entries,
-                bool tombstone_flags = false);
+                bool tombstone_flags = true);
 
 }  // namespace bloomrf
 

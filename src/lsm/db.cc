@@ -110,9 +110,7 @@ Db::Db(DbOptions options) : options_(std::move(options)) {
   Recover();
   active_ = versions_.Current()->active();
   if (options_.wal) RotateWal();
-  if (options_.background_flush) {
-    flush_thread_ = std::thread([this] { FlushWorker(); });
-  }
+  flush_thread_ = std::thread([this] { FlushWorker(); });
   if (options_.compaction) {
     const size_t workers = std::max<size_t>(1, options_.compaction_threads);
     compact_threads_.reserve(workers);
@@ -123,14 +121,12 @@ Db::Db(DbOptions options) : options_(std::move(options)) {
 }
 
 Db::~Db() {
-  if (flush_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(flush_mu_);
-      stop_ = true;
-    }
-    flush_work_cv_.notify_all();
-    flush_thread_.join();  // worker drains the queue before exiting
+  {
+    std::lock_guard<std::mutex> lock(flush_mu_);
+    stop_ = true;
   }
+  flush_work_cv_.notify_all();
+  flush_thread_.join();  // worker drains the queue before exiting
   if (!compact_threads_.empty()) {
     {
       std::lock_guard<std::mutex> lock(compact_mu_);
@@ -159,11 +155,12 @@ Db::~Db() {
   }
 }
 
-void Db::QuarantineTable(const std::string& path) {
+void Db::QuarantineTable(const std::string& path, const char* why) {
   env_->RenameFile(path, path + ".corrupt");
   ++stats_.tables_quarantined;
   ++recovery_stats_.tables_quarantined;
-  stats_.SetLastError("recover: quarantined unreadable " + path);
+  stats_.SetLastError(std::string("recover: quarantined ") + why + " " +
+                      path);
 }
 
 std::vector<Version::TableList> Db::OpenTablesFromManifest(
@@ -182,7 +179,7 @@ std::vector<Version::TableList> Db::OpenTablesFromManifest(
         // record existed, so this is real corruption (or deletion by
         // hand), not a torn flush: move it aside and keep serving the
         // rest of the tree.
-        QuarantineTable(path);
+        QuarantineTable(path, "unreadable");
         continue;
       }
       reader->set_level(static_cast<uint32_t>(level));
@@ -209,8 +206,7 @@ void Db::Recover() {
 
   // Manifest first: CURRENT names the live one; a missing or torn
   // CURRENT falls back to the newest manifest holding any decodable
-  // edits; a directory with neither gets its *.sst files imported at
-  // L0 by number order (pre-MANIFEST layout, one-shot).
+  // edits.
   ManifestState state;
   bool have_manifest = false;
   uint64_t manifest_number = ReadCurrentManifestNumber(options_.dir);
@@ -240,41 +236,29 @@ void Db::Recover() {
   recovery_stats_.manifest_clean = state.clean;
 
   uint64_t max_file = 0;
-  std::vector<Version::TableList> levels;
-  if (have_manifest) {
-    levels = OpenTablesFromManifest(state, &max_file);
-    // SSTs on disk but absent from the manifest were written durably
-    // and then orphaned by a crash before their manifest edit landed;
-    // their WAL files survived (deletion follows the edit), so the
-    // data returns through replay below. Remove the orphans — but keep
-    // their numbers burned so a reused number can never pair a stale
-    // file with a new manifest entry.
-    std::unordered_set<uint64_t> referenced;
-    for (const auto& level : state.levels) {
-      for (const FileMeta& meta : level) referenced.insert(meta.file_number);
-    }
-    for (const auto& [number, path] :
-         ListNumberedFiles(options_.dir, "", ".sst")) {
-      max_file = std::max(max_file, number);
-      if (referenced.count(number) == 0) env_->DeleteFile(path);
-    }
-  } else {
-    auto ssts = ListNumberedFiles(options_.dir, "", ".sst");
-    levels.resize(1);
-    for (const auto& [number, path] : ssts) {
-      recovery_stats_.legacy_import = true;
-      max_file = std::max(max_file, number);
-      auto reader =
-          TableReader::Open(path, options_.filter_policy.get(), &stats_,
-                            options_.block_cache, number);
-      if (reader == nullptr) {
-        // Legacy torn SST from a crash mid-flush: its WAL was never
-        // deleted, so the data comes back through replay below.
-        QuarantineTable(path);
-        continue;
-      }
-      levels[0].push_back(std::move(reader));
-      ++recovery_stats_.tables_loaded;
+  std::vector<Version::TableList> levels =
+      OpenTablesFromManifest(state, &max_file);
+  // SSTs on disk but absent from the manifest were written durably
+  // and then orphaned by a crash before their manifest edit landed;
+  // their WAL files survived (deletion follows the edit), so the data
+  // returns through replay below. Remove the orphans. With no manifest
+  // at all nothing says which level or recency a table had (compaction
+  // outputs carry higher numbers than the newer L0 data above them),
+  // so none can be served safely: quarantine them all instead. Either
+  // way the numbers stay burned, so a reused number can never pair a
+  // stale file with a new manifest entry.
+  std::unordered_set<uint64_t> referenced;
+  for (const auto& level : state.levels) {
+    for (const FileMeta& meta : level) referenced.insert(meta.file_number);
+  }
+  for (const auto& [number, path] :
+       ListNumberedFiles(options_.dir, "", ".sst")) {
+    max_file = std::max(max_file, number);
+    if (referenced.count(number) != 0) continue;
+    if (have_manifest) {
+      env_->DeleteFile(path);
+    } else {
+      QuarantineTable(path, "no manifest references");
     }
   }
   {
@@ -288,10 +272,10 @@ void Db::Recover() {
   next_manifest_number_ = max_manifest_seen + 1;
 
   // Every open starts a fresh snapshot manifest, so recovery work
-  // (quarantines, orphan cleanup, legacy import) is captured durably
-  // and old manifests never grow without bound. Failure (unwritable
-  // directory) is tolerated: the store runs, flushes will keep failing
-  // until the disk heals, and last_error says why.
+  // (quarantines, orphan cleanup) is captured durably and old
+  // manifests never grow without bound. Failure (unwritable directory)
+  // is tolerated: the store runs, flushes will keep failing until the
+  // disk heals, and last_error says why.
   {
     std::lock_guard<std::mutex> lock(version_mu_);
     if (WriteManifestSnapshotLocked(*versions_.Current())) {
@@ -523,7 +507,6 @@ bool Db::SealActive(bool force) {
       pending_failure = true;
     }
   }
-  if (!options_.background_flush) return DrainQueueInline();
   flush_work_cv_.notify_one();
   return !pending_failure;
 }
@@ -618,22 +601,6 @@ bool Db::FlushSealed(const QueuedFlush& entry) {
   return true;
 }
 
-bool Db::DrainQueueInline() {
-  // One inline drainer at a time: without this, two sync-mode Flush
-  // callers could both write the queue-front memtable's SST.
-  std::lock_guard<std::mutex> drain_lock(inline_drain_mu_);
-  std::unique_lock<std::mutex> lock(flush_mu_);
-  while (!flush_queue_.empty()) {
-    QueuedFlush entry = flush_queue_.front();  // queued until success
-    lock.unlock();
-    bool ok = FlushSealed(entry);
-    lock.lock();
-    if (!ok) return false;  // retried (in order) by the next drain call
-    flush_queue_.pop_front();
-  }
-  return true;
-}
-
 void Db::FlushWorker() {
   std::unique_lock<std::mutex> lock(flush_mu_);
   for (;;) {
@@ -673,7 +640,6 @@ bool Db::Flush() {
 }
 
 bool Db::WaitForFlush() {
-  if (!options_.background_flush) return DrainQueueInline();
   std::unique_lock<std::mutex> lock(flush_mu_);
   if (flush_error_) {
     // One retry per drain call; the flag comes back if it fails again.

@@ -41,7 +41,10 @@
 //    value of its key on all read paths. Compaction physically drops a
 //    tombstone only when no level below its output can still hold the
 //    key (see lsm/compaction.h TombstoneShadow) — so a deleted key can
-//    never resurrect, not even across crashes or legacy-table imports.
+//    never resurrect, not even across crashes.
+//  - Flushing is always in the background: a sealed memtable is
+//    written to an L0 SST by one flush thread, so writers never wait
+//    on file I/O; Flush()/WaitForFlush() block until the queue drains.
 //
 //   DbOptions options;
 //   options.dir = "/tmp/db";
@@ -94,10 +97,6 @@ struct DbOptions {
   /// objects); block_cache_bytes == 0 disables caching entirely.
   std::shared_ptr<BlockCache> block_cache;
   size_t block_cache_bytes = 4 << 20;
-  /// Sealed memtables are written to SSTs by a background thread;
-  /// writers never wait on file I/O. Off = the sealing Put (or Flush
-  /// call) writes the SST synchronously, as before this option.
-  bool background_flush = true;
   /// Write-ahead log: every Put/PutBatch is group-committed to a
   /// CRC-framed log before it is applied, the log rotates at each
   /// memtable seal and is deleted once that memtable's flush has
@@ -180,12 +179,10 @@ struct DbRecoveryStats {
   uint64_t tables_loaded = 0;        // manifest-referenced SSTs re-opened
   uint64_t manifest_edits_replayed = 0;
   bool manifest_clean = true;  // false: manifest replay stopped at a torn tail
-  /// True when the directory predates the MANIFEST: its *.sst files
-  /// were imported into L0 by number order (one-shot; this open writes
-  /// the first manifest).
-  bool legacy_import = false;
-  /// Manifest-referenced SSTs that failed open-time validation and
-  /// were renamed aside as <name>.corrupt.
+  /// SSTs renamed aside as <name>.corrupt: manifest-referenced tables
+  /// that failed open-time validation, and every *.sst of a directory
+  /// where no manifest decodes (their level and recency are unknown,
+  /// so no safe newest-wins order exists to serve them in).
   uint64_t tables_quarantined = 0;
   uint64_t wal_files_replayed = 0;
   /// Logs at or below the manifest's flushed-through number: their
@@ -362,18 +359,18 @@ class Db {
     return options_.dir + "/" + std::to_string(file_number) + ".sst";
   }
   /// Rebuilds the table tree from CURRENT → MANIFEST (falling back to
-  /// the newest manifest on disk, then to a legacy *.sst import),
-  /// quarantines unreadable tables, writes a fresh snapshot manifest
-  /// for this life, and replays surviving WAL files into the fresh
-  /// active memtable.
+  /// the newest manifest on disk; with none, every *.sst is
+  /// quarantined), quarantines unreadable tables, writes a fresh
+  /// snapshot manifest for this life, and replays surviving WAL files
+  /// into the fresh active memtable.
   void Recover();
-  /// Opens the manifest-referenced tables into a level structure;
-  /// shared by the CURRENT and fallback recovery paths.
+  /// Opens the manifest-referenced tables into a level structure (a
+  /// single empty L0 when `state` references none).
   std::vector<Version::TableList> OpenTablesFromManifest(
       const ManifestState& state, uint64_t* max_file_seen);
-  /// Renames an unreadable SST to <path>.corrupt so recovery does not
-  /// retry it forever, and accounts it.
-  void QuarantineTable(const std::string& path);
+  /// Renames an SST recovery cannot serve to <path>.corrupt so it is
+  /// not retried forever, and accounts it; `why` goes to last_error.
+  void QuarantineTable(const std::string& path, const char* why);
   /// Opens the next wal-<n>.log and makes it current. Caller holds
   /// seal_mu_ exclusively (or is the constructor).
   void RotateWal();
@@ -397,10 +394,6 @@ class Db {
   /// over the current Version's SSTs). Called after every publication
   /// that changes the table set.
   void UpdateTombstonesLive();
-  /// Synchronous-mode drain: flushes queued memtables front to back,
-  /// stopping (and keeping the failed one at the front for the next
-  /// call) on the first failure.
-  bool DrainQueueInline();
   void FlushWorker();
 
   /// Appends `edit` to the live manifest, or — when the manifest is
@@ -495,7 +488,6 @@ class Db {
   // a Flush()/WaitForFlush() triggers a retry that succeeds.
   bool flush_error_ = false;
   bool stop_ = false;
-  std::mutex inline_drain_mu_;  // serializes sync-mode DrainQueueInline
   std::thread flush_thread_;
 
   // Compaction scheduler, guarded by compact_mu_. compaction_threads

@@ -1,20 +1,15 @@
 #include "lsm/env.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace bloomrf {
 
 namespace {
-
-#ifndef _WIN32
 
 class PosixWritableFile : public WritableFile {
  public:
@@ -52,46 +47,13 @@ class PosixWritableFile : public WritableFile {
   int fd_;
 };
 
-#else  // _WIN32
-
-class StdioWritableFile : public WritableFile {
- public:
-  explicit StdioWritableFile(std::FILE* f) : file_(f) {}
-  ~StdioWritableFile() override { Close(); }
-
-  bool Append(std::string_view data) override {
-    if (file_ == nullptr) return false;
-    return std::fwrite(data.data(), 1, data.size(), file_) == data.size();
-  }
-  bool Sync() override {
-    return file_ != nullptr && std::fflush(file_) == 0;
-  }
-  bool Close() override {
-    if (file_ == nullptr) return true;
-    std::FILE* f = file_;
-    file_ = nullptr;
-    return std::fclose(f) == 0;
-  }
-
- private:
-  std::FILE* file_;
-};
-
-#endif
-
 class PosixEnv : public Env {
  public:
   std::unique_ptr<WritableFile> NewWritableFile(
       const std::string& path) override {
-#ifndef _WIN32
     int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
     if (fd < 0) return nullptr;
     return std::make_unique<PosixWritableFile>(fd);
-#else
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) return nullptr;
-    return std::make_unique<StdioWritableFile>(f);
-#endif
   }
 
   bool RenameFile(const std::string& from, const std::string& to) override {
@@ -106,16 +68,11 @@ class PosixEnv : public Env {
   }
 
   bool SyncDir(const std::string& dir) override {
-#ifndef _WIN32
     int fd = ::open(dir.c_str(), O_RDONLY);
     if (fd < 0) return false;
     bool ok = ::fsync(fd) == 0;
     ::close(fd);
     return ok;
-#else
-    (void)dir;
-    return true;  // no directory handles to sync with stdio fallback
-#endif
   }
 
   bool FileExists(const std::string& path) override {

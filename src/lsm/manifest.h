@@ -18,8 +18,9 @@
 //
 // The CURRENT file names the live manifest ("MANIFEST-<n>\n") and is
 // swapped atomically (write CURRENT.tmp, fsync, rename, fsync dir);
-// recovery reads CURRENT first, falls back to the highest-numbered
-// manifest on disk, and finally to a legacy *.sst import.
+// recovery reads CURRENT first and falls back to the highest-numbered
+// manifest on disk; with neither, every *.sst is quarantined (renamed
+// to *.corrupt) rather than served in a guessed order.
 
 #ifndef BLOOMRF_LSM_MANIFEST_H_
 #define BLOOMRF_LSM_MANIFEST_H_

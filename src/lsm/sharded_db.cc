@@ -29,7 +29,6 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
     shard_options.memtable_bytes = options_.memtable_bytes;
     shard_options.block_cache = options_.block_cache;  // shared (may be null)
     shard_options.block_cache_bytes = options_.block_cache_bytes;
-    shard_options.background_flush = options_.background_flush;
     shard_options.wal = options_.wal;
     shard_options.wal_fsync = options_.wal_fsync;
     if (!options_.wal_dir.empty()) {

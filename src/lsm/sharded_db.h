@@ -44,7 +44,6 @@ struct ShardedDbOptions {
   /// `block_cache_bytes` when null (0 disables caching).
   std::shared_ptr<BlockCache> block_cache;
   size_t block_cache_bytes = 32 << 20;
-  bool background_flush = true;
   /// Per-shard write-ahead log (see DbOptions::wal): every shard logs
   /// its own writes and replays them on reopen. wal_dir, when set,
   /// holds per-shard subdirectories wal_dir/shard-i.

@@ -1,6 +1,7 @@
 // SST (sorted string table) writer of the mini-LSM store.
 //
-// File layout, format v3 (all offsets little-endian):
+// File layout, format v3, the only one written and read (all offsets
+// little-endian):
 //   [data block  block_crc:fixed32]*  [index block]  [filter block]
 //   [footer]
 //   index entry  := last_key:fixed64 offset:fixed64 size:fixed64
@@ -9,19 +10,14 @@
 //   footer       := index_off index_size filter_off filter_size
 //                   num_tombstones:fixed64
 //                   index_crc:fixed32 filter_crc:fixed32 magic_v3
-// v3 (56-byte footer) adds deletes: a data-block entry's meta word
-// packs a tombstone flag in its top bit (see lsm/block.h) and the
-// footer counts the file's tombstones so the engine can report live
-// tombstones without scanning. Every data block carries a trailing
-// CRC-32C; the index and filter blocks are covered by footer CRCs, so
-// TableReader::Open validates all metadata before serving a byte, and
-// a flipped bit in a data block is detected at read time instead of
-// returning garbage.
-//
-// Older formats are still read: v2 (magic kMagicV2, 48-byte footer,
-// CRCs, no tombstones) and v1 (magic kMagicV1, 40-byte footer, no
-// CRCs). Their meta word is a plain 32-bit value length, so pre-delete
-// tables parse byte-identically to before the bump.
+// A data-block entry's meta word packs a tombstone flag in its top bit
+// (see lsm/block.h) and the 56-byte footer counts the file's
+// tombstones so the engine can report live tombstones without
+// scanning. Every data block carries a trailing CRC-32C; the index and
+// filter blocks are covered by footer CRCs, so TableReader::Open
+// validates all metadata before serving a byte, and a flipped bit in a
+// data block is detected at read time instead of returning garbage. A
+// file with any other footer magic does not open.
 //
 // Durability: WriteTo stages the file as `path.tmp`, fsyncs it,
 // renames it into place and fsyncs the parent directory — a crash at
@@ -56,11 +52,7 @@ struct TableBuildStats {
 
 class TableBuilder {
  public:
-  static constexpr uint64_t kMagicV1 = 0xb100f54b1e5ULL;
-  static constexpr uint64_t kMagicV2 = 0xb100f54b1e52ULL;
   static constexpr uint64_t kMagicV3 = 0xb100f54b1e53ULL;
-  /// Legacy alias; new code should name the version explicitly.
-  static constexpr uint64_t kMagic = kMagicV1;
 
   /// `policy` may be null (no filter block). Does not take ownership.
   TableBuilder(const FilterPolicy* policy, size_t block_size)

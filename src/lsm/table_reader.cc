@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cassert>
 
-#if !defined(_WIN32)
 #include <unistd.h>
-#endif
 
 #include "lsm/block.h"
 #include "lsm/table_builder.h"
@@ -24,31 +22,18 @@ std::atomic<uint64_t> g_next_table_id{1};
 // File size via the 64-bit tell; -1 on error. Only called from Open,
 // before any concurrent reader exists.
 int64_t FileSize(std::FILE* f) {
-#if defined(_WIN32)
-  if (_fseeki64(f, 0, SEEK_END) != 0) return -1;
-  return _ftelli64(f);
-#else
   if (fseeko(f, 0, SEEK_END) != 0) return -1;
   return static_cast<int64_t>(ftello(f));
-#endif
 }
 
 }  // namespace
 
-// Positioned read, safe for concurrent callers. POSIX pread carries
-// its own offset and touches no shared cursor (and takes 64-bit
-// offsets, so SSTs past 2 GiB read correctly); the Windows fallback
-// serializes the 64-bit seek + fread pair under io_mu_.
+// Positioned read, safe for concurrent callers: pread carries its own
+// offset and touches no shared cursor (and takes 64-bit offsets, so
+// SSTs past 2 GiB read correctly).
 bool TableReader::ReadFileAt(uint64_t offset, uint64_t size,
                              std::string* out) const {
   out->resize(size);
-#if defined(_WIN32)
-  std::lock_guard<std::mutex> lock(io_mu_);
-  if (_fseeki64(file_, static_cast<long long>(offset), SEEK_SET) != 0) {
-    return false;
-  }
-  return std::fread(out->data(), 1, size, file_) == size;
-#else
   int fd = fileno(file_);
   size_t done = 0;
   while (done < size) {
@@ -58,7 +43,6 @@ bool TableReader::ReadFileAt(uint64_t offset, uint64_t size,
     done += static_cast<size_t>(n);
   }
   return true;
-#endif
 }
 
 TableReader::~TableReader() {
@@ -77,65 +61,24 @@ std::unique_ptr<TableReader> TableReader::Open(
   reader->path_ = path;
   reader->file_number_ = file_number;
 
+  // The v3 footer: index_off index_size filter_off filter_size
+  // num_tombstones (fixed64 each), index_crc filter_crc (fixed32),
+  // magic. Any other trailing magic is rejected.
   int64_t file_size = FileSize(f);
-  if (file_size < 40) return nullptr;
+  if (file_size < 56) return nullptr;
   reader->file_size_ = static_cast<uint64_t>(file_size);
-
-  // Footer dispatch on the trailing magic: v3 (56 bytes, tombstone
-  // count + CRCs) first, then v2 (48 bytes, index/filter CRCs,
-  // per-block CRCs), then legacy v1 (40 bytes, no checksums) — old
-  // pre-delete tables stay readable and answer identically.
-  uint64_t index_off, index_size, filter_off, filter_size;
-  uint32_t index_crc = 0, filter_crc = 0;
-  int version = 1;
   std::string footer;
-  if (file_size >= 56) {
-    if (!reader->ReadFileAt(reader->file_size_ - 56, 56, &footer)) {
-      return nullptr;
-    }
-    if (DecodeFixed64(footer.data() + 48) == TableBuilder::kMagicV3) {
-      version = 3;
-    }
+  if (!reader->ReadFileAt(reader->file_size_ - 56, 56, &footer) ||
+      DecodeFixed64(footer.data() + 48) != TableBuilder::kMagicV3) {
+    return nullptr;
   }
-  if (version == 1 && file_size >= 48) {
-    if (!reader->ReadFileAt(reader->file_size_ - 48, 48, &footer)) {
-      return nullptr;
-    }
-    if (DecodeFixed64(footer.data() + 40) == TableBuilder::kMagicV2) {
-      version = 2;
-    }
-  }
-  if (version == 3) {
-    index_off = DecodeFixed64(footer.data());
-    index_size = DecodeFixed64(footer.data() + 8);
-    filter_off = DecodeFixed64(footer.data() + 16);
-    filter_size = DecodeFixed64(footer.data() + 24);
-    reader->num_tombstones_ = DecodeFixed64(footer.data() + 32);
-    index_crc = DecodeFixed32(footer.data() + 40);
-    filter_crc = DecodeFixed32(footer.data() + 44);
-    reader->has_block_crc_ = true;
-    reader->has_tombstone_flags_ = true;
-  } else if (version == 2) {
-    index_off = DecodeFixed64(footer.data());
-    index_size = DecodeFixed64(footer.data() + 8);
-    filter_off = DecodeFixed64(footer.data() + 16);
-    filter_size = DecodeFixed64(footer.data() + 24);
-    index_crc = DecodeFixed32(footer.data() + 32);
-    filter_crc = DecodeFixed32(footer.data() + 36);
-    reader->has_block_crc_ = true;
-  } else {
-    if (!reader->ReadFileAt(reader->file_size_ - 40, 40, &footer)) {
-      return nullptr;
-    }
-    if (DecodeFixed64(footer.data() + 32) != TableBuilder::kMagicV1) {
-      return nullptr;
-    }
-    index_off = DecodeFixed64(footer.data());
-    index_size = DecodeFixed64(footer.data() + 8);
-    filter_off = DecodeFixed64(footer.data() + 16);
-    filter_size = DecodeFixed64(footer.data() + 24);
-  }
-  const bool has_crc = version >= 2;
+  const uint64_t index_off = DecodeFixed64(footer.data());
+  const uint64_t index_size = DecodeFixed64(footer.data() + 8);
+  const uint64_t filter_off = DecodeFixed64(footer.data() + 16);
+  const uint64_t filter_size = DecodeFixed64(footer.data() + 24);
+  reader->num_tombstones_ = DecodeFixed64(footer.data() + 32);
+  const uint32_t index_crc = DecodeFixed32(footer.data() + 40);
+  const uint32_t filter_crc = DecodeFixed32(footer.data() + 44);
 
   // Metadata bounds before any dependent read: a corrupt footer must
   // not direct reads past the file or allocate absurd buffers.
@@ -149,8 +92,7 @@ std::unique_ptr<TableReader> TableReader::Open(
 
   std::string index_data;
   if (!reader->ReadFileAt(index_off, index_size, &index_data)) return nullptr;
-  if (has_crc && Crc32c(index_data) != index_crc) return nullptr;
-  const uint64_t block_overhead = has_crc ? 4 : 0;  // trailing per-block CRC
+  if (Crc32c(index_data) != index_crc) return nullptr;
   uint64_t expected_offset = 0;
   for (size_t pos = 0; pos < index_data.size(); pos += 24) {
     IndexEntry entry{DecodeFixed64(index_data.data() + pos),
@@ -166,7 +108,7 @@ std::unique_ptr<TableReader> TableReader::Open(
         entry.last_key <= reader->index_.back().last_key) {
       return nullptr;
     }
-    expected_offset = entry.offset + entry.size + block_overhead;
+    expected_offset = entry.offset + entry.size + 4;  // + trailing CRC
     reader->index_.push_back(entry);
   }
   if (expected_offset != index_off) return nullptr;
@@ -176,7 +118,7 @@ std::unique_ptr<TableReader> TableReader::Open(
     if (!reader->ReadFileAt(filter_off, filter_size, &filter_data)) {
       return nullptr;
     }
-    if (has_crc && Crc32c(filter_data) != filter_crc) return nullptr;
+    if (Crc32c(filter_data) != filter_crc) return nullptr;
     // The block is registry-framed; a corrupt or unknown block loads as
     // null and the table falls back to scanning.
     if (stats != nullptr) {
@@ -209,8 +151,8 @@ std::unique_ptr<TableReader> TableReader::Open(
 bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
                               LsmStats* stats) const {
   const IndexEntry& entry = index_[index_pos];
-  // v2 blocks carry a trailing CRC-32C: read payload+4, verify, trim.
-  const uint64_t physical = entry.size + (has_block_crc_ ? 4 : 0);
+  // Blocks carry a trailing CRC-32C: read payload+4, verify, trim.
+  const uint64_t physical = entry.size + 4;
   bool ok;
   if (stats != nullptr) {
     Timer timer;
@@ -221,7 +163,7 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
   } else {
     ok = ReadFileAt(entry.offset, physical, buffer);
   }
-  if (ok && has_block_crc_) {
+  if (ok) {
     uint32_t expected = DecodeFixed32(buffer->data() + entry.size);
     buffer->resize(entry.size);
     if (Crc32c(*buffer) != expected) {
@@ -250,9 +192,7 @@ std::shared_ptr<const CachedBlock> TableReader::GetBlock(
   }
   auto block = std::make_shared<CachedBlock>();
   if (!ReadBlockAt(index_pos, &block->raw, stats)) return nullptr;
-  if (!ParseBlock(block->raw, &block->entries, has_tombstone_flags_)) {
-    return nullptr;
-  }
+  if (!ParseBlock(block->raw, &block->entries)) return nullptr;
   if (cached) cache_->Insert(table_id_, index_pos, block);
   return block;
 }

@@ -215,11 +215,9 @@ struct LsmStats {
 class TableReader {
  public:
   /// Opens `path` and validates its metadata before serving a byte:
-  /// footer magic (v3 56-byte footer with tombstone count, v2 48-byte
-  /// footer with index/filter CRCs, or the legacy v1 40-byte footer),
-  /// index/filter bounds against the file size, index CRC and shape
-  /// (strictly increasing last keys, contiguous block extents), filter
-  /// CRC. Deserializes the filter
+  /// the 56-byte v3 footer and its magic, index/filter bounds against
+  /// the file size, index CRC and shape (strictly increasing last keys,
+  /// contiguous block extents), filter CRC. Deserializes the filter
   /// block via `policy` (may be null). Returns null on any corruption
   /// — the Db quarantines such files. `cache`, when non-null, serves
   /// repeated block reads across all read paths of this table.
@@ -280,8 +278,7 @@ class TableReader {
 
   uint64_t min_key() const { return min_key_; }
   uint64_t max_key() const { return max_key_; }
-  /// Tombstone entries in this table, from the v3 footer (0 for v1/v2
-  /// tables, which predate deletes).
+  /// Tombstone entries in this table, from the footer.
   uint64_t num_tombstones() const { return num_tombstones_; }
   uint64_t filter_memory_bits() const {
     return filter_ ? filter_->MemoryBits() : 0;
@@ -364,8 +361,8 @@ class TableReader {
     uint64_t size;
   };
 
-  /// Positioned read of [offset, offset+size) into `out`; thread-safe
-  /// (pread on POSIX, io_mu_-guarded seek+read elsewhere).
+  /// Positioned read (pread) of [offset, offset+size) into `out`;
+  /// thread-safe.
   bool ReadFileAt(uint64_t offset, uint64_t size, std::string* out) const;
   bool ReadBlockAt(size_t index_pos, std::string* buffer,
                    LsmStats* stats) const;
@@ -390,20 +387,15 @@ class TableReader {
                      uint64_t false_positives, LsmStats* stats) const;
 
   std::FILE* file_ = nullptr;
-  /// Serializes seek+read on platforms without pread (Windows); unused
-  /// on POSIX, where positioned reads need no shared cursor.
-  mutable std::mutex io_mu_;
   std::vector<IndexEntry> index_;
   std::unique_ptr<PointRangeFilter> filter_;
   std::shared_ptr<BlockCache> cache_;
   uint64_t table_id_ = 0;  // process-unique cache-key namespace
   uint64_t min_key_ = 0;
   uint64_t max_key_ = 0;
-  uint64_t file_number_ = 0;  // manifest identity (0 = unknown/legacy)
+  uint64_t file_number_ = 0;  // manifest identity (0 = unknown)
   uint64_t file_size_ = 0;
-  uint64_t num_tombstones_ = 0;     // v3 footer count (0 for v1/v2)
-  bool has_block_crc_ = false;      // v2+: data blocks carry trailing CRCs
-  bool has_tombstone_flags_ = false;  // v3: entry meta packs tombstone bit
+  uint64_t num_tombstones_ = 0;  // footer count
   uint32_t level_ = 0;          // LSM level (set before sharing)
   std::string filter_backend_;  // registry name from the framed block
   // Per-table probe outcomes, indexed by Probe: relaxed, written only

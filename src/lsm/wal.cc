@@ -8,11 +8,9 @@
 #include "util/coding.h"
 #include "util/crc32c.h"
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
-#endif
 
 namespace bloomrf {
 
@@ -243,17 +241,11 @@ WalWriter::WalWriter(std::string path, bool fsync_on_commit, LsmStats* stats,
     }
     return;
   }
-#ifndef _WIN32
   fd_ = ::open(path_.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
   if (fd_ >= 0 && !Remap(kInitialMapBytes)) {
     ::close(fd_);
     fd_ = -1;
   }
-#else
-  // Windows fallback: buffered stdio, flushed per group commit.
-  fd_ = -1;
-  file_ = std::fopen(path_.c_str(), "wb");
-#endif
   if (!FileOk()) {
     broken_ = true;
     if (stats_ != nullptr) {
@@ -263,7 +255,6 @@ WalWriter::WalWriter(std::string path, bool fsync_on_commit, LsmStats* stats,
 }
 
 WalWriter::~WalWriter() {
-#ifndef _WIN32
   if (map_ != nullptr) ::munmap(map_, map_size_);
   if (fd_ >= 0) {
     // Trim the preallocated tail so the on-disk file is exactly the
@@ -273,20 +264,10 @@ WalWriter::~WalWriter() {
     }
     ::close(fd_);
   }
-#else
-  if (file_ != nullptr) std::fclose(file_);
-#endif
 }
 
-bool WalWriter::FileOk() const {
-#ifndef _WIN32
-  return fd_ >= 0 && map_ != nullptr;
-#else
-  return file_ != nullptr;
-#endif
-}
+bool WalWriter::FileOk() const { return fd_ >= 0 && map_ != nullptr; }
 
-#ifndef _WIN32
 bool WalWriter::Remap(size_t new_size) {
   if (map_ != nullptr) {
     ::munmap(map_, map_size_);
@@ -316,14 +297,12 @@ bool WalWriter::Remap(size_t new_size) {
   map_size_ = new_size;
   return true;
 }
-#endif
 
 bool WalWriter::WriteBytes(const char* data, size_t n) {
   // Fault checkpoint only — the bytes still travel through the mmap
   // below when allowed. Crash-mode envs never fail this site (page
   // cache survives a process kill); site hooks can.
   if (env_ != nullptr && env_->InjectFault("wal.append")) return false;
-#ifndef _WIN32
   while (offset_ + n > map_size_) {
     size_t grown = map_size_ * 2;
     while (offset_ + n > grown) grown *= 2;
@@ -341,10 +320,6 @@ bool WalWriter::WriteBytes(const char* data, size_t n) {
       return false;
     }
   }
-#else
-  if (std::fwrite(data, 1, n, file_) != n) return false;
-  if (fsync_on_commit_ && std::fflush(file_) != 0) return false;
-#endif
   if (stats_ != nullptr) {
     stats_->group_commit_batches.fetch_add(1, std::memory_order_relaxed);
     stats_->wal_synced_bytes.fetch_add(n, std::memory_order_relaxed);
@@ -449,14 +424,10 @@ bool WalWriter::Sync() {
   cv_.wait(lock, [&] { return !leader_active_ || broken_; });
   --waiters_;
   if (broken_) return false;
-#ifndef _WIN32
   // The mapping's dirty pages already belong to the page cache; msync
   // pushes them (and thus every committed record) to stable storage.
   return offset_ == 0 ||
          ::msync(map_, (offset_ + 4095) & ~size_t{4095}, MS_SYNC) == 0;
-#else
-  return std::fflush(file_) == 0;
-#endif
 }
 
 }  // namespace bloomrf

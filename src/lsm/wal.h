@@ -40,7 +40,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <span>
@@ -167,23 +166,17 @@ class WalWriter {
   /// publishes `batch_end` (or marks broken_) and wakes followers.
   void CommitGroup(std::unique_lock<std::mutex>& lock, const char* data,
                    size_t n, uint64_t batch_end);
-#ifndef _WIN32
   /// (Re)maps the file at `new_size` preallocated bytes.
   bool Remap(size_t new_size);
-#endif
 
   const std::string path_;
   const bool fsync_on_commit_;
   LsmStats* const stats_;
   Env* const env_;  // fault checkpoints only; may be null
   int fd_ = -1;
-#ifndef _WIN32
   char* map_ = nullptr;   // shared file mapping (page-cache-backed)
   size_t map_size_ = 0;   // preallocated mapped bytes
   size_t offset_ = 0;     // bytes of committed records (leader-only)
-#else
-  std::FILE* file_ = nullptr;
-#endif
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

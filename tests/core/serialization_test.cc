@@ -63,11 +63,39 @@ TEST(SerializationTest, SizeMatchesMemory) {
   EXPECT_LT(data.size() * 8, filter.MemoryBits() + 1024);
 }
 
+// Offset of the hash-scheme byte in a serialized block: tag,
+// domain_bits, layer count, 3 bytes per layer, segment count, 8 bytes
+// per segment, exact-layer and permutation flags.
+size_t SchemeByteOffset(const BloomRFConfig& cfg) {
+  return 12 + 3 * cfg.num_layers() + 4 + 8 * cfg.segment_bits.size() + 2;
+}
+
 TEST(SerializationTest, RejectsGarbage) {
   EXPECT_FALSE(BloomRF::Deserialize("").has_value());
   EXPECT_FALSE(BloomRF::Deserialize("garbage").has_value());
   EXPECT_FALSE(
       BloomRF::Deserialize(std::string(200, '\xff')).has_value());
+
+  // Well-formed blocks of any other tag or hash scheme are rejected
+  // too: the V1 layout (tag 0xb100f001, no scheme byte) and V2 blocks
+  // whose scheme byte is not 1.
+  BloomRF filter(BloomRFConfig::Basic(1000, 12.0));
+  for (uint64_t k : RandomKeySet(1000, 52)) filter.Insert(k);
+  const std::string data = filter.Serialize();
+  ASSERT_TRUE(BloomRF::Deserialize(data).has_value());
+  const size_t scheme_at = SchemeByteOffset(filter.config());
+  ASSERT_EQ(data[scheme_at], 1);
+
+  std::string v1;
+  PutFixed32(&v1, 0xb100f001);
+  v1 += data.substr(4, scheme_at - 4) + data.substr(scheme_at + 1);
+  EXPECT_FALSE(BloomRF::Deserialize(v1).has_value());
+  for (char scheme : {char{0}, char{2}}) {
+    std::string other = data;
+    other[scheme_at] = scheme;
+    EXPECT_FALSE(BloomRF::Deserialize(other).has_value())
+        << "scheme byte " << int{scheme};
+  }
 }
 
 TEST(SerializationTest, RejectsTruncation) {
@@ -130,7 +158,7 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   // must be rejected by the size pre-check, not by an allocation
   // attempt.
   std::string evil;
-  PutFixed32(&evil, 0xb100f001);           // magic
+  PutFixed32(&evil, 0xb100f002);           // magic
   PutFixed32(&evil, 64);                   // domain_bits
   PutFixed32(&evil, 1);                    // one layer
   evil.push_back(7);                       // delta
@@ -140,52 +168,15 @@ TEST(SerializationTest, HugeSegmentClaimRejectedWithoutAllocating) {
   PutFixed64(&evil, uint64_t{1} << 50);    // absurd segment_bits
   evil.push_back(0);                       // no exact layer
   evil.push_back(0);                       // no permutation
+  evil.push_back(1);                       // hash scheme
   PutFixed64(&evil, 0x5eed);               // seed
   EXPECT_FALSE(BloomRF::Deserialize(evil).has_value());
 }
 
-TEST(SerializationTest, LegacyFormatBlocksStillLoadAndAnswer) {
-  // Filters serialized before the hash-once format bump carry the V1
-  // tag and the per-replica hash layout. Building with the legacy
-  // scheme reproduces that byte layout exactly; the deserialized
-  // filter must keep the scheme and answer identically — scalar and
-  // batched — including with replicas > 1, where the schemes place
-  // bits differently.
-  BloomRFConfig cfg = BloomRFConfig::Basic(2000, 16.0);
-  cfg.hash_scheme = HashScheme::kLegacyPerReplica;
-  cfg.replicas.assign(cfg.replicas.size(), 2);
-  BloomRF filter(cfg);
-  auto keys = RandomKeySet(2000, 48);
-  for (uint64_t k : keys) filter.Insert(k);
-
-  std::string data = filter.Serialize();
-  ASSERT_GE(data.size(), 4u);
-  EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f001u);  // pre-bump tag
-
-  auto restored = BloomRF::Deserialize(data);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->config().hash_scheme, HashScheme::kLegacyPerReplica);
-  for (uint64_t k : keys) EXPECT_TRUE(restored->MayContain(k)) << k;
-
-  Rng rng(49);
-  std::vector<uint64_t> probes;
-  for (int i = 0; i < 5000; ++i) probes.push_back(rng.Next());
-  for (uint64_t k : keys) probes.push_back(k);
-  auto batched = std::make_unique<bool[]>(probes.size());
-  restored->MayContainBatch(probes, batched.get());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    EXPECT_EQ(batched[i], filter.MayContain(probes[i])) << probes[i];
-    uint64_t hi = probes[i] | 0xffff;
-    EXPECT_EQ(restored->MayContainRange(probes[i], hi),
-              filter.MayContainRange(probes[i], hi));
-  }
-}
-
 TEST(SerializationTest, CurrentFormatCarriesHashScheme) {
-  // New filters default to the hash-once scheme and serialize with the
-  // V2 tag; the scheme survives the round trip.
+  // A fresh block carries the V2 tag and hash-scheme byte 1 (hash-once
+  // double hashing) and round-trips, replicas > 1 included.
   BloomRFConfig cfg = BloomRFConfig::Basic(1000, 14.0);
-  ASSERT_EQ(cfg.hash_scheme, HashScheme::kDoubleHash);
   cfg.replicas.assign(cfg.replicas.size(), 2);
   BloomRF filter(cfg);
   auto keys = RandomKeySet(1000, 50);
@@ -194,10 +185,11 @@ TEST(SerializationTest, CurrentFormatCarriesHashScheme) {
   std::string data = filter.Serialize();
   ASSERT_GE(data.size(), 4u);
   EXPECT_EQ(DecodeFixed32(data.data()), 0xb100f002u);
+  ASSERT_GT(data.size(), SchemeByteOffset(cfg));
+  EXPECT_EQ(data[SchemeByteOffset(cfg)], 1);
 
   auto restored = BloomRF::Deserialize(data);
   ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->config().hash_scheme, HashScheme::kDoubleHash);
   for (uint64_t k : keys) EXPECT_TRUE(restored->MayContain(k)) << k;
   Rng rng(51);
   for (int i = 0; i < 5000; ++i) {

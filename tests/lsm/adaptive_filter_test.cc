@@ -73,7 +73,6 @@ class AdaptiveFilterTest : public ::testing::Test {
     options.dir = dir_;
     options.filter_policy = std::move(policy);
     options.memtable_bytes = 1 << 20;
-    options.background_flush = false;
     options.wal = false;
     return options;
   }

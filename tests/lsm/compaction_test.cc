@@ -1,6 +1,6 @@
 // Leveled compaction: multi-level correctness across every registered
 // filter backend, failure injection (a broken disk never unpublishes
-// readable state), legacy import, and reopen-after-compaction.
+// readable state), tombstone drops, and reopen-after-compaction.
 
 #include "lsm/compaction.h"
 
@@ -93,7 +93,7 @@ TEST_F(CompactionTest, CompactsIntoMultipleLevelsAndKeepsEveryKey) {
   }
   // The compacted tree must come back identically from the MANIFEST.
   Db db(CompactingOptions(NewBloomPolicy(10.0)));
-  EXPECT_FALSE(db.recovery_stats().legacy_import);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 0u);
   EXPECT_GE(db.recovery_stats().tables_loaded, 1u);
   ExpectExactly(db, expected);
 }
@@ -178,52 +178,6 @@ TEST_F(CompactionTest, FailedCompactionLeavesStoreReadable) {
   ASSERT_TRUE(db.WaitForCompaction());
   EXPECT_LT(db.num_tables(), tables_before);
   EXPECT_GT(db.stats().compactions.load(), 0u);
-  ExpectExactly(db, expected);
-}
-
-TEST_F(CompactionTest, LegacyDirectoryImportsOnce) {
-  // Satellite: a directory that predates the MANIFEST (simulated by
-  // deleting it from a closed store) imports its *.sst files once and
-  // writes the first manifest.
-  std::map<uint64_t, std::string> expected;
-  {
-    DbOptions options;
-    options.dir = dir_;
-    options.filter_policy = NewBloomPolicy(10.0);
-    options.memtable_bytes = 1 << 20;
-    Db db(options);
-    for (uint64_t k = 0; k < 800; ++k) {
-      db.Put(k, "legacy-" + std::to_string(k));
-      expected[k] = "legacy-" + std::to_string(k);
-    }
-    ASSERT_TRUE(db.Flush());
-    for (uint64_t k = 0; k < 100; ++k) {
-      db.Put(k, "newer");
-      expected[k] = "newer";
-    }
-    ASSERT_TRUE(db.Flush());
-  }
-  std::filesystem::remove(CurrentFileName(dir_));
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (entry.path().filename().string().rfind("MANIFEST-", 0) == 0) {
-      std::filesystem::remove(entry.path());
-    }
-  }
-  {
-    DbOptions options;
-    options.dir = dir_;
-    options.filter_policy = NewBloomPolicy(10.0);
-    Db db(options);
-    EXPECT_TRUE(db.recovery_stats().legacy_import);
-    EXPECT_GE(db.recovery_stats().tables_loaded, 2u);
-    ExpectExactly(db, expected);  // import order preserves newest-wins
-  }
-  // The import is one-shot: the next life recovers from the manifest.
-  DbOptions options;
-  options.dir = dir_;
-  options.filter_policy = NewBloomPolicy(10.0);
-  Db db(options);
-  EXPECT_FALSE(db.recovery_stats().legacy_import);
   ExpectExactly(db, expected);
 }
 
@@ -332,55 +286,6 @@ TEST_F(CompactionTest, TombstoneIsKeptWhileDeeperLevelsHoldTheKey) {
           << " resurrected mid-compaction";
     }
   }
-  ExpectExactly(db, expected);
-}
-
-TEST_F(CompactionTest, CompactAllOverLegacyImportDoesNotResurrect) {
-  // Small-fix satellite: a legacy-imported tree (no MANIFEST) holds
-  // pre-delete values in older SSTs; the tombstone SST imports as
-  // newer and must keep shadowing them through a full manual merge.
-  std::map<uint64_t, std::string> expected;
-  DbOptions options;
-  options.dir = dir_;
-  options.filter_policy = NewBloomPolicy(10.0);
-  options.memtable_bytes = 1 << 20;
-  {
-    Db db(options);
-    for (uint64_t k = 0; k < 500; ++k) {
-      db.Put(k, "legacy-" + std::to_string(k));
-      expected[k] = "legacy-" + std::to_string(k);
-    }
-    ASSERT_TRUE(db.Flush());
-    std::vector<uint64_t> doomed;
-    for (uint64_t k = 0; k < 500; k += 5) doomed.push_back(k);
-    ASSERT_TRUE(db.DeleteBatch(doomed));
-    for (uint64_t k : doomed) expected.erase(k);
-    ASSERT_TRUE(db.Flush());
-  }
-  // Strip the MANIFEST: next open must import raw *.sst files — value
-  // SST and tombstone SST both — preserving newest-wins.
-  std::filesystem::remove(CurrentFileName(dir_));
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    if (entry.path().filename().string().rfind("MANIFEST-", 0) == 0) {
-      std::filesystem::remove(entry.path());
-    }
-  }
-  {
-    Db db(options);
-    ASSERT_TRUE(db.recovery_stats().legacy_import);
-    EXPECT_GE(db.stats().tombstones_live.load(), 100u);
-    ExpectExactly(db, expected);
-    std::string value;
-    for (uint64_t k = 0; k < 500; k += 5) {
-      ASSERT_FALSE(db.Get(k, &value)) << "import resurrected " << k;
-    }
-    // Full merge over the imported tree: tombstones meet their legacy
-    // values and both disappear — but the keys must NOT come back.
-    ASSERT_TRUE(db.CompactAll());
-    EXPECT_EQ(db.stats().tombstones_live.load(), 0u);
-    ExpectExactly(db, expected);
-  }
-  Db db(options);
   ExpectExactly(db, expected);
 }
 

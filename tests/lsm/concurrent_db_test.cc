@@ -155,8 +155,8 @@ void RunWriterReaderScenario(Engine* db, const std::vector<uint64_t>& keys,
   for (auto& r : readers) r.join();
 }
 
-// Replays the same two write passes single-threaded (no background
-// flush) and demands row-for-row equality with the concurrent engine.
+// Replays the same two write passes from one thread and demands
+// row-for-row equality with the concurrent engine.
 void ExpectMatchesReplay(Db* concurrent, const std::vector<uint64_t>& keys,
                          const std::string& replay_dir,
                          std::shared_ptr<FilterPolicy> policy,
@@ -165,7 +165,6 @@ void ExpectMatchesReplay(Db* concurrent, const std::vector<uint64_t>& keys,
   options.dir = replay_dir;
   options.filter_policy = std::move(policy);
   options.memtable_bytes = memtable_bytes;
-  options.background_flush = false;
   Db replay(options);
   for (uint64_t k : keys) ASSERT_TRUE(replay.Put(k, ValueFor(k, 1)));
   for (uint64_t k : keys) ASSERT_TRUE(replay.Put(k, ValueFor(k, 2)));

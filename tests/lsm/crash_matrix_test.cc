@@ -96,8 +96,9 @@ class CrashMatrixTest : public ::testing::Test {
     DbOptions options;
     options.dir = dir;
     options.filter_policy = policy();
-    options.memtable_bytes = 1 << 20;  // sealed only by explicit Flush
-    options.background_flush = false;  // inline: deterministic op order
+    // Sealed only by explicit Flush, which blocks until the flush
+    // thread has installed the SST: flush ops land in workload order.
+    options.memtable_bytes = 1 << 20;
     options.env = env;
     options.compaction = true;
     options.l0_compaction_trigger = 2;

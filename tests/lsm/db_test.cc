@@ -216,32 +216,6 @@ TEST_F(DbTest, FailedFlushRetriesInSealOrder) {
   EXPECT_EQ(rows[0].second, "v2");
 }
 
-TEST_F(DbTest, FailedFlushRetriesInSealOrderSynchronous) {
-  // Same ordering guarantee with background_flush off: the sealing
-  // Put/Flush drains inline and keeps the failed memtable at the
-  // queue front.
-  FaultInjectionEnv fenv;
-  fenv.FailAlways("sst");
-  DbOptions options;
-  options.dir = dir_;
-  options.filter_policy = NewBloomPolicy(10.0);
-  options.memtable_bytes = 1 << 20;
-  options.background_flush = false;
-  options.env = &fenv;
-  Db db(options);
-
-  ASSERT_TRUE(db.Put(7, "v1"));
-  EXPECT_FALSE(db.Flush());
-  ASSERT_TRUE(db.Put(7, "v2"));
-  EXPECT_FALSE(db.Flush());
-  fenv.HealAll();
-  EXPECT_TRUE(db.Flush());
-  EXPECT_EQ(db.num_tables(), 2u);
-  std::string value;
-  ASSERT_TRUE(db.Get(7, &value));
-  EXPECT_EQ(value, "v2");
-}
-
 TEST_F(DbTest, WorksWithEveryPolicy) {
   // Every registered backend runs through the same generic registry
   // policy; one legacy shim covers the parameter-carrying spellings.

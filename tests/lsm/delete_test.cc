@@ -1,12 +1,10 @@
 // First-class deletes: tombstone semantics through the memtable, the
 // WAL, SST v3 encoding, every read path, and the compaction drop rule
-// (TombstoneShadow) — plus backward compatibility with v1/v2 tables
-// that predate tombstones.
+// (TombstoneShadow).
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -15,8 +13,6 @@
 #include "lsm/db.h"
 #include "lsm/table_builder.h"
 #include "lsm/table_reader.h"
-#include "util/coding.h"
-#include "util/crc32c.h"
 
 namespace bloomrf {
 namespace {
@@ -187,104 +183,6 @@ TEST_F(DeleteTest, TableReaderSurfacesTombstonesOnEveryReadPath) {
   }
   ASSERT_EQ(rows.size(), 6u);  // live rows only
   for (const auto& [k, v] : rows) EXPECT_NE(k % 3, 1u) << k;
-}
-
-// ---------------------------------------------------------------------
-// Backward compatibility: pre-tombstone tables still load and answer
-// identically. The fixtures below write v1/v2 bytes by hand, matching
-// the formats documented in table_builder.h.
-
-std::string BuildLegacyTable(int version) {
-  // One data block with keys {5, 10, 15}; no filter block.
-  BlockBuilder block;
-  block.Add(5, "five");
-  block.Add(10, "ten");
-  block.Add(15, "fifteen");
-  std::string payload = block.Finish();
-
-  std::string file;
-  file += payload;
-  if (version >= 2) PutFixed32(&file, Crc32c(payload));
-
-  std::string index;
-  PutFixed64(&index, 15);              // last key
-  PutFixed64(&index, 0);               // block offset
-  PutFixed64(&index, payload.size());  // payload size (CRC excluded)
-  uint64_t index_off = file.size();
-  file += index;
-
-  PutFixed64(&file, index_off);
-  PutFixed64(&file, index.size());
-  PutFixed64(&file, file.size());  // filter_off (degenerate: empty)
-  PutFixed64(&file, 0);            // filter_size
-  if (version >= 2) {
-    PutFixed32(&file, Crc32c(index));
-    PutFixed32(&file, Crc32c(std::string_view()));
-    PutFixed64(&file, TableBuilder::kMagicV2);
-  } else {
-    PutFixed64(&file, TableBuilder::kMagicV1);
-  }
-  return file;
-}
-
-TEST_F(DeleteTest, PreTombstoneTablesStillLoadAndAnswerIdentically) {
-  for (int version : {1, 2}) {
-    SCOPED_TRACE("format v" + std::to_string(version));
-    const std::string path =
-        dir_ + "/v" + std::to_string(version) + ".sst";
-    {
-      std::ofstream f(path, std::ios::binary);
-      std::string bytes = BuildLegacyTable(version);
-      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
-    LsmStats stats;
-    auto reader = TableReader::Open(path, nullptr, &stats);
-    ASSERT_NE(reader, nullptr) << "v" << version << " no longer loads";
-    EXPECT_EQ(reader->num_tombstones(), 0u);
-    EXPECT_EQ(reader->min_key(), 5u);
-    EXPECT_EQ(reader->max_key(), 15u);
-    std::string value;
-    EXPECT_EQ(reader->Find(5, &value, &stats), Lookup::kHit);
-    EXPECT_EQ(value, "five");
-    EXPECT_EQ(reader->Find(10, &value, &stats), Lookup::kHit);
-    EXPECT_EQ(value, "ten");
-    EXPECT_EQ(reader->Find(15, &value, &stats), Lookup::kHit);
-    EXPECT_EQ(value, "fifteen");
-    // No key in a pre-tombstone table can read as deleted: the high
-    // meta bit was never written by old builders.
-    EXPECT_EQ(reader->Find(7, &value, &stats), Lookup::kMiss);
-    const uint64_t lo = 0, hi = 100;
-    bool may_match = false;
-    reader->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats);
-    ASSERT_TRUE(may_match);
-    std::vector<ScanEntry> entries;
-    reader->ScanBlocks(lo, hi, 16, &entries, &stats);
-    ASSERT_EQ(entries.size(), 3u);
-    for (const auto& e : entries) EXPECT_FALSE(e.tombstone);
-  }
-}
-
-TEST_F(DeleteTest, LegacySstImportMixesWithTombstones) {
-  // A pre-tombstone table imported via the legacy path must still be
-  // shadowed by newer deletes.
-  {
-    std::ofstream f(dir_ + "/000001.sst", std::ios::binary);
-    std::string bytes = BuildLegacyTable(2);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  Db db(Options());
-  ASSERT_TRUE(db.recovery_stats().legacy_import);
-  std::string value;
-  ASSERT_TRUE(db.Get(10, &value));
-  EXPECT_EQ(value, "ten");
-  ASSERT_TRUE(db.Delete(10));
-  EXPECT_FALSE(db.Get(10, &value)) << "legacy value outlived its delete";
-  ASSERT_TRUE(db.Flush());
-  EXPECT_FALSE(db.Get(10, &value));
-  auto rows = db.RangeScan(0, 100, 16);
-  ASSERT_EQ(rows.size(), 2u);  // 5 and 15 survive
-  EXPECT_EQ(rows[0].first, 5u);
-  EXPECT_EQ(rows[1].first, 15u);
 }
 
 // ---------------------------------------------------------------------

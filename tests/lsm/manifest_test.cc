@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -337,7 +338,7 @@ TEST_F(ManifestDbTest, MissingCurrentFallsBackToNewestManifest) {
   }
   ASSERT_TRUE(std::filesystem::remove(CurrentFileName(dir_)));
   Db db(Options());
-  EXPECT_FALSE(db.recovery_stats().legacy_import);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, 0u);
   EXPECT_GE(db.recovery_stats().tables_loaded, 2u);
   EXPECT_GT(db.recovery_stats().manifest_edits_replayed, 0u);
   std::string value;
@@ -368,6 +369,86 @@ TEST_F(ManifestDbTest, TornManifestTailIsToleratedOnReopen) {
     ASSERT_TRUE(db.Get(k, &value)) << k;
     EXPECT_EQ(value, "stable");
   }
+}
+
+TEST_F(ManifestDbTest, SstsWithoutManifestAreQuarantinedNotServed) {
+  // Without a manifest nothing records a table's level or recency, and
+  // file numbers do not order data (a compaction output gets a higher
+  // number than newer L0 data it sits below). Every *.sst must then be
+  // set aside, byte for byte, never served in a guessed order.
+  DbOptions options = Options();
+  options.memtable_bytes = 16 << 10;
+  options.compaction = true;
+  options.compaction_threads = 2;
+  options.l0_compaction_trigger = 2;
+  options.level_base_bytes = 32 << 10;
+  options.level_size_multiplier = 2;
+  std::vector<uint64_t> keys;
+  {
+    Db db(options);
+    for (int round = 0; round < 4; ++round) {
+      for (uint64_t k = 0; k < 2000; k += round + 1) {
+        ASSERT_TRUE(db.Put(k * 7, "r" + std::to_string(round)));
+      }
+      ASSERT_TRUE(db.Flush());
+    }
+    ASSERT_TRUE(db.WaitForCompaction());
+    // Compaction settles with L0 below its trigger of 2. If it left L0
+    // empty, one more flush puts a table above the compacted levels
+    // without triggering another job.
+    if (db.level_table_counts()[0] == 0) {
+      for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k * 7, "last"));
+      ASSERT_TRUE(db.Flush());
+      ASSERT_TRUE(db.WaitForCompaction());
+    }
+    size_t populated = 0;
+    for (size_t n : db.level_table_counts()) populated += n > 0 ? 1 : 0;
+    ASSERT_GE(populated, 2u) << "need a multi-level tree";
+    for (uint64_t k = 0; k < 2000; ++k) keys.push_back(k * 7);
+  }
+
+  std::map<std::string, std::string> ssts;  // path -> bytes
+  uint64_t max_number = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.path().extension() == ".sst") {
+      ssts[entry.path().string()] = ReadFile(entry.path().string());
+      max_number = std::max<uint64_t>(max_number, std::stoull(name));
+    } else if (name == "CURRENT" || name.rfind("MANIFEST-", 0) == 0) {
+      std::filesystem::remove(entry.path());
+    }
+  }
+  ASSERT_GE(ssts.size(), 2u);
+
+  Db db(options);
+  EXPECT_EQ(db.recovery_stats().tables_quarantined, ssts.size());
+  EXPECT_EQ(db.stats().tables_quarantined.load(), ssts.size());
+  EXPECT_NE(db.stats().last_error().find("quarantined"), std::string::npos);
+  EXPECT_EQ(db.recovery_stats().tables_loaded, 0u);
+  EXPECT_EQ(db.recovery_stats().wal_entries_replayed, 0u);
+  EXPECT_EQ(db.num_tables(), 0u);
+  for (const auto& [path, bytes] : ssts) {
+    EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    EXPECT_EQ(ReadFile(path + ".corrupt"), bytes) << path;
+  }
+
+  std::string value;
+  for (uint64_t k : keys) ASSERT_FALSE(db.Get(k, &value)) << k;
+  for (const auto& row : db.MultiGet(keys)) EXPECT_FALSE(row.has_value());
+  EXPECT_TRUE(db.RangeScan(0, UINT64_MAX, 10000).empty());
+
+  // Quarantined numbers stay burned: the next flush gets a fresh one.
+  ASSERT_TRUE(db.Put(7, "fresh"));
+  ASSERT_TRUE(db.Flush());
+  size_t new_ssts = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+    if (entry.path().extension() != ".sst") continue;
+    ++new_ssts;
+    EXPECT_GT(std::stoull(entry.path().filename().string()), max_number);
+  }
+  EXPECT_EQ(new_ssts, 1u);
+  ASSERT_TRUE(db.Get(7, &value));
+  EXPECT_EQ(value, "fresh");
 }
 
 TEST_F(ManifestDbTest, StaleManifestsAreReplacedOnReopen) {

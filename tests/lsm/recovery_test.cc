@@ -18,16 +18,11 @@
 namespace bloomrf {
 namespace {
 
-class RecoveryTest : public ::testing::TestWithParam<bool> {
+class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = "/tmp/bloomrf_recovery_test_" + std::string(::testing::UnitTest::
         GetInstance()->current_test_info()->name());
-    // Parameterized names contain '/', which would nest directories.
-    for (char& c : dir_) {
-      if (c == '/') c = '_';
-    }
-    dir_ = "/tmp/" + dir_.substr(5);
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -37,7 +32,6 @@ class RecoveryTest : public ::testing::TestWithParam<bool> {
     options.dir = dir_;
     options.filter_policy = NewBloomRFPolicy(18.0, 1e6);
     options.memtable_bytes = memtable_bytes;
-    options.background_flush = GetParam();
     return options;
   }
 
@@ -55,7 +49,7 @@ class RecoveryTest : public ::testing::TestWithParam<bool> {
   std::string dir_;
 };
 
-TEST_P(RecoveryTest, KillAfterPutRecoversEverything) {
+TEST_F(RecoveryTest, KillAfterPutRecoversEverything) {
   { // "Crash": no Flush, active memtable only survives in the log.
     Db db(Options());
     for (uint64_t k = 0; k < 500; ++k) {
@@ -74,7 +68,7 @@ TEST_P(RecoveryTest, KillAfterPutRecoversEverything) {
   }
 }
 
-TEST_P(RecoveryTest, KillMidRecordRecoversIntactPrefix) {
+TEST_F(RecoveryTest, KillMidRecordRecoversIntactPrefix) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 100; ++k) {
@@ -95,7 +89,7 @@ TEST_P(RecoveryTest, KillMidRecordRecoversIntactPrefix) {
   EXPECT_FALSE(db.Get(99, &value));  // the torn record is gone
 }
 
-TEST_P(RecoveryTest, GarbageTailAfterKillIsIgnored) {
+TEST_F(RecoveryTest, GarbageTailAfterKillIsIgnored) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(db.Put(k, "v"));
@@ -114,7 +108,7 @@ TEST_P(RecoveryTest, GarbageTailAfterKillIsIgnored) {
   for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(db.Get(k, &value));
 }
 
-TEST_P(RecoveryTest, BatchIsAllOrNothingInRecovery) {
+TEST_F(RecoveryTest, BatchIsAllOrNothingInRecovery) {
   {
     Db db(Options());
     ASSERT_TRUE(db.Put(1, "single"));
@@ -137,7 +131,7 @@ TEST_P(RecoveryTest, BatchIsAllOrNothingInRecovery) {
   }
 }
 
-TEST_P(RecoveryTest, DeletedKeyStaysDeletedAcrossReplay) {
+TEST_F(RecoveryTest, DeletedKeyStaysDeletedAcrossReplay) {
   { // Put, flush (key reaches an SST), delete, then "crash": the
     // tombstone survives only in the WAL and must shadow the SST.
     Db db(Options());
@@ -167,7 +161,7 @@ TEST_P(RecoveryTest, DeletedKeyStaysDeletedAcrossReplay) {
   for (const auto& [k, v] : rows) EXPECT_NE(k, 42u);
 }
 
-TEST_P(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
+TEST_F(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
   {
     Db db(Options());
     for (uint64_t k = 100; k < 110; ++k) ASSERT_TRUE(db.Put(k, "old"));
@@ -203,7 +197,7 @@ TEST_P(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
   }
 }
 
-TEST_P(RecoveryTest, DeleteBatchSurvivesKillReopenIntact) {
+TEST_F(RecoveryTest, DeleteBatchSurvivesKillReopenIntact) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(db.Put(k, "v"));
@@ -222,7 +216,7 @@ TEST_P(RecoveryTest, DeleteBatchSurvivesKillReopenIntact) {
   }
 }
 
-TEST_P(RecoveryTest, FlushedDataComesBackFromSstsAndLogsGetDeleted) {
+TEST_F(RecoveryTest, FlushedDataComesBackFromSstsAndLogsGetDeleted) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 300; ++k) {
@@ -245,7 +239,7 @@ TEST_P(RecoveryTest, FlushedDataComesBackFromSstsAndLogsGetDeleted) {
   for (uint64_t k = 1000; k < 1100; ++k) ASSERT_TRUE(db.Get(k, &value)) << k;
 }
 
-TEST_P(RecoveryTest, CleanCloseLeavesNoWalFiles) {
+TEST_F(RecoveryTest, CleanCloseLeavesNoWalFiles) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k, "v"));
@@ -259,7 +253,7 @@ TEST_P(RecoveryTest, CleanCloseLeavesNoWalFiles) {
   for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Get(k, &value));
 }
 
-TEST_P(RecoveryTest, OverwritesReplayInOriginalOrder) {
+TEST_F(RecoveryTest, OverwritesReplayInOriginalOrder) {
   {
     Db db(Options());
     ASSERT_TRUE(db.Put(5, "first"));
@@ -272,7 +266,7 @@ TEST_P(RecoveryTest, OverwritesReplayInOriginalOrder) {
   EXPECT_EQ(value, "third");
 }
 
-TEST_P(RecoveryTest, SealedButUnflushedMemtableRecovers) {
+TEST_F(RecoveryTest, SealedButUnflushedMemtableRecovers) {
   // Tiny memtable budget forces seals; with a permanently failing
   // flush the sealed data can never reach an SST, so after the "crash"
   // it must come back from the logs alone.
@@ -296,7 +290,7 @@ TEST_P(RecoveryTest, SealedButUnflushedMemtableRecovers) {
   }
 }
 
-TEST_P(RecoveryTest, MultipleKillReopenCycles) {
+TEST_F(RecoveryTest, MultipleKillReopenCycles) {
   for (int cycle = 0; cycle < 3; ++cycle) {
     Db db(Options());
     std::string value;
@@ -312,7 +306,7 @@ TEST_P(RecoveryTest, MultipleKillReopenCycles) {
   for (uint64_t k = 0; k < 300; ++k) ASSERT_TRUE(db.Get(k, &value)) << k;
 }
 
-TEST_P(RecoveryTest, FsyncModeRoundTrips) {
+TEST_F(RecoveryTest, FsyncModeRoundTrips) {
   {
     DbOptions options = Options();
     options.wal_fsync = true;
@@ -324,7 +318,7 @@ TEST_P(RecoveryTest, FsyncModeRoundTrips) {
   for (uint64_t k = 0; k < 50; ++k) ASSERT_TRUE(db.Get(k, &value));
 }
 
-TEST_P(RecoveryTest, SeparateWalDirIsUsedAndReplayed) {
+TEST_F(RecoveryTest, SeparateWalDirIsUsedAndReplayed) {
   const std::string wal_dir = dir_ + "_wal";
   std::filesystem::remove_all(wal_dir);
   {
@@ -350,7 +344,7 @@ TEST_P(RecoveryTest, SeparateWalDirIsUsedAndReplayed) {
   std::filesystem::remove_all(wal_dir);
 }
 
-TEST_P(RecoveryTest, WalOffMeansMemtableIsLost) {
+TEST_F(RecoveryTest, WalOffMeansMemtableIsLost) {
   {
     DbOptions options = Options();
     options.wal = false;
@@ -365,12 +359,11 @@ TEST_P(RecoveryTest, WalOffMeansMemtableIsLost) {
   EXPECT_FALSE(db.Get(0, &value));
 }
 
-TEST_P(RecoveryTest, ShardedPutBatchRecoversPerShard) {
+TEST_F(RecoveryTest, ShardedPutBatchRecoversPerShard) {
   ShardedDbOptions options;
   options.dir = dir_;
   options.filter_policy = NewBloomRFPolicy(18.0, 1e6);
   options.num_shards = 4;
-  options.background_flush = GetParam();
   {
     ShardedDb db(options);
     std::vector<KV> batch;
@@ -391,13 +384,6 @@ TEST_P(RecoveryTest, ShardedPutBatchRecoversPerShard) {
     EXPECT_EQ(value, MakeValue(k, 20));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BackgroundAndSync, RecoveryTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "BackgroundFlush"
-                                             : "SyncFlush";
-                         });
 
 }  // namespace
 }  // namespace bloomrf

@@ -2,10 +2,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
+#include "lsm/block.h"
 #include "lsm/table_builder.h"
 #include "lsm/table_reader.h"
 #include "tests/test_util.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "workload/key_generator.h"
 
 namespace bloomrf {
@@ -113,6 +117,41 @@ TEST_F(TableTest, NullPolicyMeansNoFilter) {
   EXPECT_EQ(stats.filter_probes, 0u);
 }
 
+// A one-block table (keys 5, 10, 15; no filter) written by hand with
+// the footer of format `version`: v3 is the current layout; v2 (48-byte
+// footer, magic ...1e52) and v1 (40-byte footer, magic ...1e5, no
+// CRCs) are layouts earlier builds wrote, which no longer open.
+std::string BuildTableBytes(int version) {
+  BlockBuilder block;
+  block.Add(5, "five");
+  block.Add(10, "ten");
+  block.Add(15, "fifteen");
+  std::string payload = block.Finish();
+
+  std::string file = payload;
+  if (version >= 2) PutFixed32(&file, Crc32c(payload));
+  std::string index;
+  PutFixed64(&index, 15);              // last key
+  PutFixed64(&index, 0);               // block offset
+  PutFixed64(&index, payload.size());  // payload size (CRC excluded)
+  const uint64_t index_off = file.size();
+  file += index;
+
+  PutFixed64(&file, index_off);
+  PutFixed64(&file, index.size());
+  PutFixed64(&file, file.size());  // filter_off (degenerate: empty)
+  PutFixed64(&file, 0);            // filter_size
+  if (version == 3) PutFixed64(&file, 0);  // num_tombstones
+  if (version >= 2) {
+    PutFixed32(&file, Crc32c(index));
+    PutFixed32(&file, Crc32c(std::string_view()));
+  }
+  const uint64_t magic[] = {0xb100f54b1e5ULL, 0xb100f54b1e52ULL,
+                            TableBuilder::kMagicV3};
+  PutFixed64(&file, magic[version - 1]);
+  return file;
+}
+
 TEST_F(TableTest, OpenRejectsCorruptFile) {
   std::FILE* f = std::fopen((dir_ + "/bad.sst").c_str(), "wb");
   std::fputs("this is not an sst file at all, way too short-ish", f);
@@ -121,6 +160,27 @@ TEST_F(TableTest, OpenRejectsCorruptFile) {
   EXPECT_EQ(TableReader::Open(dir_ + "/bad.sst", nullptr, &stats), nullptr);
   EXPECT_EQ(TableReader::Open(dir_ + "/missing.sst", nullptr, &stats),
             nullptr);
+
+  // The hand-built table opens with the v3 footer and is rejected with
+  // a v1 or v2 one.
+  for (int version : {1, 2, 3}) {
+    SCOPED_TRACE("format v" + std::to_string(version));
+    const std::string path = dir_ + "/v" + std::to_string(version) + ".sst";
+    {
+      std::ofstream out(path, std::ios::binary);
+      const std::string bytes = BuildTableBytes(version);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto reader = TableReader::Open(path, nullptr, &stats);
+    if (version < 3) {
+      EXPECT_EQ(reader, nullptr);
+      continue;
+    }
+    ASSERT_NE(reader, nullptr);
+    std::string value;
+    EXPECT_EQ(reader->Find(10, &value, &stats), Lookup::kHit);
+    EXPECT_EQ(value, "ten");
+  }
 }
 
 TEST_F(TableTest, DeserializationTimeTracked) {
