@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
                   static_cast<double>(kKeys));
 
   // Phase 1b: concurrent delete traffic. Each client tombstones a
-  // slice of its own stripe (some singly, some via DeleteBatch), so the
+  // slice of its own stripe (some singly, some in one WriteBatch), so the
   // read phase below runs against a tree where deleted keys must stay
   // dead across every shard's memtable, WAL, and SSTs.
   std::printf("deleting every 5th ingested key from %zu threads...\n",
@@ -112,16 +112,16 @@ int main(int argc, char** argv) {
     std::vector<std::thread> clients;
     for (size_t t = 0; t < num_clients; ++t) {
       clients.emplace_back([&, t] {
-        std::vector<uint64_t> batch;
+        std::vector<KV> batch;
         for (size_t i = t * 5; i < data.keys.size(); i += num_clients * 5) {
           if (i % 2 == 0) {
             db.Delete(data.keys[i]);
           } else {
-            batch.push_back(data.keys[i]);
+            batch.push_back({data.keys[i], {}, /*is_delete=*/true});
           }
           ++deletes;
         }
-        db.DeleteBatch(batch);
+        db.WriteBatch(batch);
       });
     }
     for (auto& c : clients) c.join();

@@ -393,62 +393,16 @@ void Db::DeleteLogsThrough(uint64_t max_log) {
 }
 
 bool Db::Put(uint64_t key, std::string_view value) {
-  KV kv{key, value};
-  return PutBatch({&kv, 1});
+  const KV kv{key, value};
+  return WriteBatch({&kv, 1});
 }
 
-bool Db::Delete(uint64_t key) { return DeleteBatch({&key, 1}); }
-
-bool Db::DeleteBatch(std::span<const uint64_t> keys) {
-  if (keys.empty()) return true;
-  bool ok = true;
-  uint64_t bytes;
-  {
-    // Same discipline as PutBatch: log + apply under one shared hold
-    // of the seal lock so the delete record and its tombstones stay in
-    // the same memtable generation.
-    std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
-    if (wal_ != nullptr) {
-      thread_local std::string record;
-      WalEncodeDeletesTo(keys, &record);
-      ok = wal_->Append(record);
-    }
-    for (uint64_t key : keys) active_->Delete(key);
-    bytes = active_->ApproximateBytes();
-  }
-  if (bytes >= options_.memtable_bytes) {
-    if (!SealActive(/*force=*/false)) ok = false;
-  }
-  return ok;
+bool Db::Delete(uint64_t key) {
+  const KV kv{key, {}, /*is_delete=*/true};
+  return WriteBatch({&kv, 1});
 }
 
-bool Db::WriteBatch(std::span<const WriteOp> ops) {
-  if (ops.empty()) return true;
-  bool ok = true;
-  uint64_t bytes;
-  {
-    std::shared_lock<std::shared_mutex> seal_lock(seal_mu_);
-    if (wal_ != nullptr) {
-      thread_local std::string record;
-      WalEncodeOpsTo(ops, &record);
-      ok = wal_->Append(record);
-    }
-    for (const WriteOp& op : ops) {
-      if (op.is_delete) {
-        active_->Delete(op.key);
-      } else {
-        active_->Put(op.key, op.value);
-      }
-    }
-    bytes = active_->ApproximateBytes();
-  }
-  if (bytes >= options_.memtable_bytes) {
-    if (!SealActive(/*force=*/false)) ok = false;
-  }
-  return ok;
-}
-
-bool Db::PutBatch(std::span<const KV> kvs) {
+bool Db::WriteBatch(std::span<const KV> kvs) {
   if (kvs.empty()) return true;
   bool ok = true;
   uint64_t bytes;
@@ -465,7 +419,13 @@ bool Db::PutBatch(std::span<const KV> kvs) {
       WalEncodeRecordTo(kvs, &record);
       ok = wal_->Append(record);
     }
-    for (const KV& kv : kvs) active_->Put(kv.key, kv.value);
+    for (const KV& kv : kvs) {
+      if (kv.is_delete) {
+        active_->Delete(kv.key);
+      } else {
+        active_->Put(kv.key, kv.value);
+      }
+    }
     bytes = active_->ApproximateBytes();
   }
   if (bytes >= options_.memtable_bytes) {

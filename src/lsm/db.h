@@ -19,29 +19,31 @@
 //    snapshot of the current immutable Version (active memtable +
 //    sealed memtables + leveled SST tree, published through an
 //    atomically-swapped shared_ptr) and runs lock-free against it.
-//  - Put/PutBatch from multiple threads run concurrently: the memtable
+//  - Every write is a WriteBatch (Put and Delete are batches of one),
+//    and writes from multiple threads run concurrently: the memtable
 //    is an arena-backed concurrent skiplist (CAS-spliced inserts), the
 //    WAL batches all concurrent appends into one group-commit write,
 //    and the only serialization writers share is a shared_mutex read
 //    lock around the seal swap (writers among themselves are
 //    lock-free; sealing takes the lock exclusively for one pointer
 //    swap + WAL rotation).
-//  - Durability: with DbOptions::wal every Put is logged before it is
-//    applied. The durable table state lives in a versioned MANIFEST
-//    (see lsm/manifest.h): every flush and compaction appends a synced
-//    edit before its Version publishes, recovery replays CURRENT →
-//    MANIFEST → WAL in that order, and an SST is fsynced and renamed
-//    into place before the manifest references it — so a crash at any
-//    instant loses at most the records after the last group commit
-//    (none with wal_fsync) and never loses, duplicates or resurrects
-//    a flushed key.
-//  - Deletes are first-class tombstones: Delete/DeleteBatch log a
-//    delete record, write a tombstone through the memtable, and the
-//    tombstone rides flushes into v3 SSTs where it shadows every older
-//    value of its key on all read paths. Compaction physically drops a
-//    tombstone only when no level below its output can still hold the
-//    key (see lsm/compaction.h TombstoneShadow) — so a deleted key can
-//    never resurrect, not even across crashes.
+//  - Durability: with DbOptions::wal every WriteBatch is logged as one
+//    record before it is applied. The durable table state lives in a
+//    versioned MANIFEST (see lsm/manifest.h): every flush and
+//    compaction appends a synced edit before its Version publishes,
+//    recovery replays CURRENT → MANIFEST → WAL in that order, and an
+//    SST is fsynced and renamed into place before the manifest
+//    references it — so a crash at any instant loses at most the
+//    records after the last group commit (none with wal_fsync) and
+//    never loses, duplicates or resurrects a flushed key.
+//  - Deletes are first-class tombstones: a batch's delete entry is
+//    logged in the batch's record, writes a tombstone through the
+//    memtable, and the tombstone rides flushes into v3 SSTs where it
+//    shadows every older value of its key on all read paths.
+//    Compaction physically drops a tombstone only when no level below
+//    its output can still hold the key (see lsm/compaction.h
+//    TombstoneShadow) — so a deleted key can never resurrect, not
+//    even across crashes.
 //  - Flushing is always in the background: a sealed memtable is
 //    written to an L0 SST by one flush thread, so writers never wait
 //    on file I/O; Flush()/WaitForFlush() block until the queue drains.
@@ -97,12 +99,13 @@ struct DbOptions {
   /// objects); block_cache_bytes == 0 disables caching entirely.
   std::shared_ptr<BlockCache> block_cache;
   size_t block_cache_bytes = 4 << 20;
-  /// Write-ahead log: every Put/PutBatch is group-committed to a
-  /// CRC-framed log before it is applied, the log rotates at each
-  /// memtable seal and is deleted once that memtable's flush has
-  /// committed to the MANIFEST, and opening a Db replays any surviving
-  /// logs newer than the manifest's flushed-through log number. Off =
-  /// the pre-WAL behaviour (a crash loses the memtable).
+  /// Write-ahead log: every WriteBatch (so every Put and Delete) is
+  /// group-committed to a CRC-framed log as one record before it is
+  /// applied, the log rotates at each memtable seal and is deleted
+  /// once that memtable's flush has committed to the MANIFEST, and
+  /// opening a Db replays any surviving logs newer than the manifest's
+  /// flushed-through log number. Off = the pre-WAL behaviour (a crash
+  /// loses the memtable).
   bool wal = true;
   /// fdatasync every group commit before Append returns. Off (default)
   /// leaves the OS page cache between commit and disk: a process crash
@@ -204,36 +207,25 @@ class Db {
   Db(const Db&) = delete;
   Db& operator=(const Db&) = delete;
 
-  /// Inserts/overwrites a key in the active memtable; seals the
-  /// memtable for flushing when it exceeds its budget. Safe from any
-  /// number of threads concurrently (lock-free skiplist insert behind
-  /// a shared seal lock). Returns false when the WAL append failed or
-  /// a (possibly earlier, background) flush failed — the data stays
-  /// readable in memory either way; see stats().last_error().
+  /// Applies `kvs` in order (a later entry on the same key wins) — the
+  /// one write body: Put and Delete are batches of one. All of the
+  /// batch goes into one WAL record (one group-commit participant, so
+  /// recovery applies all or none of it) and one memtable pass; the
+  /// entries land individually, so concurrent readers may observe a
+  /// prefix. A delete writes a tombstone that shadows every older
+  /// value of its key on all read paths until compaction proves
+  /// nothing deeper can hold the key and physically drops it (deleting
+  /// an absent key is legal). Seals the memtable for flushing when it
+  /// exceeds its budget. Safe from any number of threads concurrently
+  /// (lock-free skiplist inserts behind a shared seal lock). Returns
+  /// false when the WAL append failed or a (possibly earlier,
+  /// background) flush failed — the data stays readable in memory
+  /// either way; see stats().last_error().
+  bool WriteBatch(std::span<const KV> kvs);
+  /// Inserts/overwrites one key: a WriteBatch of one put.
   bool Put(uint64_t key, std::string_view value);
-
-  /// Atomicity-of-logging batch write: all of `kvs` go into one WAL
-  /// record (one group-commit participant, so recovery applies all or
-  /// none of the batch) and one memtable pass. The entries land
-  /// individually — concurrent readers may observe a prefix.
-  bool PutBatch(std::span<const KV> kvs);
-
-  /// Deletes a key: a tombstone is logged (delete record) and written
-  /// through the memtable, shadowing every older value of the key on
-  /// all read paths until compaction proves nothing deeper can hold
-  /// the key and physically drops it. Deleting an absent key is legal
-  /// (the tombstone is kept until the same proof). Same concurrency
-  /// and error semantics as Put.
+  /// Deletes one key: a WriteBatch of one delete.
   bool Delete(uint64_t key);
-
-  /// Batched delete: one WAL record (all-or-nothing on recovery), one
-  /// memtable pass. Mirrors PutBatch.
-  bool DeleteBatch(std::span<const uint64_t> keys);
-
-  /// Mixed put/delete batch in one WAL record — recovery applies all
-  /// of it or none. Ops apply in order (a later op on the same key
-  /// wins).
-  bool WriteBatch(std::span<const WriteOp> ops);
 
   /// Point read: active memtable, then the snapshot Version (sealed
   /// memtables newest-first, L0 newest-first, then each deeper level).

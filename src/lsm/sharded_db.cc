@@ -15,40 +15,20 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
   // shard's fan-out: shard compactions already run in parallel with
   // each other, so per-shard private pools would oversubscribe the
   // host num_shards-fold.
-  std::shared_ptr<ThreadPool> compaction_pool;
   const size_t subs = options_.max_subcompactions > 0
                           ? options_.max_subcompactions
                           : std::max<size_t>(1, options_.compaction_threads);
-  if (subs > 1) compaction_pool = std::make_shared<ThreadPool>(subs - 1);
+  options_.compaction_pool =
+      subs > 1 ? std::make_shared<ThreadPool>(subs - 1) : nullptr;
+  // One sampler per shard (each shard Db creates its own): the
+  // adaptive loop tunes shard-local filters from shard-local traffic.
+  options_.workload_sampler = nullptr;
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    DbOptions shard_options;
-    shard_options.dir = options_.dir + "/shard-" + std::to_string(i);
-    shard_options.filter_policy = options_.filter_policy;
-    shard_options.block_size = options_.block_size;
-    shard_options.memtable_bytes = options_.memtable_bytes;
-    shard_options.block_cache = options_.block_cache;  // shared (may be null)
-    shard_options.block_cache_bytes = options_.block_cache_bytes;
-    shard_options.wal = options_.wal;
-    shard_options.wal_fsync = options_.wal_fsync;
-    if (!options_.wal_dir.empty()) {
-      shard_options.wal_dir = options_.wal_dir + "/shard-" + std::to_string(i);
-    }
-    shard_options.env = options_.env;
-    shard_options.compaction = options_.compaction;
-    shard_options.l0_compaction_trigger = options_.l0_compaction_trigger;
-    shard_options.level_base_bytes = options_.level_base_bytes;
-    shard_options.level_size_multiplier = options_.level_size_multiplier;
-    shard_options.max_levels = options_.max_levels;
-    shard_options.manifest_rewrite_bytes = options_.manifest_rewrite_bytes;
-    shard_options.compaction_threads = options_.compaction_threads;
-    shard_options.max_subcompactions = options_.max_subcompactions;
-    shard_options.subcompaction_min_bytes = options_.subcompaction_min_bytes;
-    shard_options.compaction_pool = compaction_pool;
-    // One sampler per shard (each shard Db creates its own): the
-    // adaptive loop tunes shard-local filters from shard-local traffic.
-    shard_options.sample_queries = options_.sample_queries;
-    shard_options.sampler_period_log2 = options_.sampler_period_log2;
+    const std::string suffix = "/shard-" + std::to_string(i);
+    DbOptions shard_options = options_;  // slices off the shard knobs
+    shard_options.dir += suffix;
+    if (!shard_options.wal_dir.empty()) shard_options.wal_dir += suffix;
     shards_.push_back(std::make_unique<Db>(std::move(shard_options)));
   }
   size_t workers = options_.worker_threads > 0 ? options_.worker_threads
@@ -56,44 +36,39 @@ ShardedDb::ShardedDb(ShardedDbOptions options) : options_(std::move(options)) {
   pool_ = std::make_unique<ThreadPool>(workers);
 }
 
-bool ShardedDb::PutBatch(std::span<const KV> kvs) {
-  if (kvs.empty()) return true;
-  if (shards_.size() == 1) return shards_[0]->PutBatch(kvs);
-
-  // Partition per shard (KV views stay valid: they point into the
-  // caller's batch for the whole call).
-  std::vector<std::vector<KV>> sub(shards_.size());
-  for (const KV& kv : kvs) sub[shard_of(kv.key)].push_back(kv);
-
+bool ShardedDb::AllShards(const std::function<bool(size_t)>& fn,
+                          std::span<const size_t> only) {
   std::vector<char> ok(shards_.size(), 1);
   TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    group.Submit([this, s, &sub, &ok] {
-      ok[s] = shards_[s]->PutBatch(sub[s]) ? 1 : 0;
-    });
+  auto submit = [&](size_t s) {
+    group.Submit([s, &fn, &ok] { ok[s] = fn(s) ? 1 : 0; });
+  };
+  if (only.empty()) {
+    for (size_t s = 0; s < shards_.size(); ++s) submit(s);
+  } else {
+    for (size_t s : only) submit(s);
   }
   group.Wait();
   return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
 }
 
-bool ShardedDb::DeleteBatch(std::span<const uint64_t> keys) {
-  if (keys.empty()) return true;
-  if (shards_.size() == 1) return shards_[0]->DeleteBatch(keys);
+bool ShardedDb::WriteBatch(std::span<const KV> kvs) {
+  if (kvs.empty()) return true;
+  if (shards_.size() == 1) return shards_[0]->WriteBatch(kvs);
 
-  std::vector<std::vector<uint64_t>> sub(shards_.size());
-  for (uint64_t key : keys) sub[shard_of(key)].push_back(key);
-
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
+  // Partition per shard, keeping batch order within a shard (KV views
+  // stay valid: they point into the caller's batch for the whole call).
+  std::vector<std::vector<KV>> sub(shards_.size());
+  for (const KV& kv : kvs) sub[shard_of(kv.key)].push_back(kv);
+  // Only shards with entries get a task: a small batch costs as many
+  // pool hops as shards it touches.
+  std::vector<size_t> touched;
   for (size_t s = 0; s < shards_.size(); ++s) {
-    if (sub[s].empty()) continue;
-    group.Submit([this, s, &sub, &ok] {
-      ok[s] = shards_[s]->DeleteBatch(sub[s]) ? 1 : 0;
-    });
+    if (!sub[s].empty()) touched.push_back(s);
   }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  return AllShards(
+      [this, &sub](size_t s) { return shards_[s]->WriteBatch(sub[s]); },
+      touched);
 }
 
 std::vector<std::optional<std::string>> ShardedDb::MultiGet(
@@ -179,13 +154,7 @@ bool ShardedDb::Flush() {
   // Seal + drain every shard in parallel: each shard's Flush waits for
   // its own background write, so running them on the pool overlaps the
   // SST I/O.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, &ok] { ok[s] = shards_[s]->Flush() ? 1 : 0; });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  return AllShards([this](size_t s) { return shards_[s]->Flush(); });
 }
 
 bool ShardedDb::WaitForFlush() {
@@ -202,28 +171,16 @@ bool ShardedDb::WaitForCompaction() {
 
 bool ShardedDb::CompactAll() {
   // Parallel like Flush: each shard's full merge is independent I/O.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, &ok] { ok[s] = shards_[s]->CompactAll() ? 1 : 0; });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  return AllShards([this](size_t s) { return shards_[s]->CompactAll(); });
 }
 
 bool ShardedDb::CompactRange(uint64_t begin, uint64_t end) {
   // Hash routing scatters every key range over all shards, so the
   // range compacts everywhere — each shard trims it to its own files
   // via the whole-file expansion in Db::CompactRange.
-  std::vector<char> ok(shards_.size(), 1);
-  TaskGroup group(pool_.get());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    group.Submit([this, s, begin, end, &ok] {
-      ok[s] = shards_[s]->CompactRange(begin, end) ? 1 : 0;
-    });
-  }
-  group.Wait();
-  return std::all_of(ok.begin(), ok.end(), [](char c) { return c != 0; });
+  return AllShards([this, begin, end](size_t s) {
+    return shards_[s]->CompactRange(begin, end);
+  });
 }
 
 LsmStats ShardedDb::TotalStats() const {

@@ -3,10 +3,11 @@
 // Keys are routed by a mixed hash of the key (Mix64 % num_shards), so
 // each shard owns a disjoint key subset and runs its own memtable,
 // seal/flush pipeline and SST set; all shards share one BlockCache and
-// one FilterPolicy. Batch reads (MultiGet/ScanRange) fan out per shard
-// on a small reusable ThreadPool and are reassembled in input order,
-// so the planned batch probes of every shard run genuinely in
-// parallel. Point Put/Get route directly with no pool hop.
+// one FilterPolicy. Batch reads (MultiGet/ScanRange) and WriteBatch fan
+// out per shard on a small reusable ThreadPool (reads are reassembled
+// in input order), so the planned batch probes of every shard run
+// genuinely in parallel. Point Put/Delete/Get route directly with no
+// pool hop.
 //
 // Because sharding is by hash, a key range spans all shards: ScanRange
 // sends the whole batch to every shard and merges the per-shard rows
@@ -19,6 +20,7 @@
 #define BLOOMRF_LSM_SHARDED_DB_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -31,54 +33,29 @@
 
 namespace bloomrf {
 
-struct ShardedDbOptions {
-  std::string dir;  // shard i lives in dir/shard-i
-  /// Shared by every shard. Null disables filter blocks.
-  std::shared_ptr<FilterPolicy> filter_policy;
+/// Every DbOptions field applies to every shard (each shard Db gets a
+/// copy), except that:
+///  - `dir` holds one subdirectory per shard, dir/shard-i; `wal_dir`,
+///    when set, likewise holds wal_dir/shard-i;
+///  - `memtable_bytes` is per shard and defaults to 8 MiB (the engine
+///    holds up to num_shards of these in memory, plus sealed ones
+///    awaiting flush);
+///  - one block cache serves all shards: a null `block_cache` is
+///    created once with `block_cache_bytes` (default 32 MiB; 0
+///    disables caching);
+///  - ShardedDb owns `compaction_pool` and `workload_sampler`, and
+///    overwrites any caller value: every shard gets ONE subcompaction
+///    pool, sized for a single shard's fan-out, so concurrent shard
+///    compactions queue their ranges rather than oversubscribing the
+///    host num_shards-fold; and each shard (with sampling on) creates
+///    its own sampler, so shard-local flushes and compactions tune
+///    from shard-local traffic.
+struct ShardedDbOptions : DbOptions {
+  ShardedDbOptions() {
+    memtable_bytes = 8ull << 20;
+    block_cache_bytes = 32 << 20;
+  }
   size_t num_shards = 8;
-  size_t block_size = 4096;
-  /// Per-shard memtable budget (the engine holds up to num_shards of
-  /// these in memory, plus sealed ones awaiting flush).
-  uint64_t memtable_bytes = 8ull << 20;
-  /// One cache shared across all shards; created with
-  /// `block_cache_bytes` when null (0 disables caching).
-  std::shared_ptr<BlockCache> block_cache;
-  size_t block_cache_bytes = 32 << 20;
-  /// Per-shard write-ahead log (see DbOptions::wal): every shard logs
-  /// its own writes and replays them on reopen. wal_dir, when set,
-  /// holds per-shard subdirectories wal_dir/shard-i.
-  bool wal = true;
-  bool wal_fsync = false;
-  std::string wal_dir;
-  /// Filesystem seam shared by every shard (see DbOptions::env). Null
-  /// = the process-wide POSIX Env.
-  Env* env = nullptr;
-  /// Per-shard background leveled compaction (see DbOptions). Each
-  /// shard runs its own compaction thread over its own level tree.
-  bool compaction = false;
-  size_t l0_compaction_trigger = 4;
-  uint64_t level_base_bytes = 8ull << 20;
-  size_t level_size_multiplier = 8;
-  size_t max_levels = 6;
-  uint64_t manifest_rewrite_bytes = 1ull << 20;
-  /// Per-shard compaction scheduler width (see
-  /// DbOptions::compaction_threads). Each shard gets its own worker
-  /// set; shards already parallelize across each other, so > 1 mainly
-  /// helps skewed shards with deep trees.
-  size_t compaction_threads = 1;
-  /// Range-partitioned subcompactions per job (see
-  /// DbOptions::max_subcompactions). All shards share ONE
-  /// subcompaction pool sized for a single shard's fan-out, so
-  /// concurrent shard compactions queue their ranges rather than
-  /// oversubscribing the host.
-  size_t max_subcompactions = 0;
-  uint64_t subcompaction_min_bytes = 8ull << 20;
-  /// Per-shard workload sampling for the adaptive filter loop (see
-  /// DbOptions::sample_queries): each shard Db observes its own query
-  /// stream with its own sampler, so shard-local flushes and
-  /// compactions tune from shard-local traffic.
-  bool sample_queries = false;
-  uint32_t sampler_period_log2 = 6;
   /// Fan-out workers for batch APIs; 0 sizes the pool to num_shards.
   /// Callers of MultiGet/ScanRange also steal tasks while waiting, so
   /// even worker_threads == 0 with a 1-shard engine stays a plain
@@ -103,20 +80,16 @@ class ShardedDb {
   bool Get(uint64_t key, std::string* value) {
     return shards_[shard_of(key)]->Get(key, value);
   }
-  /// Deletes a key on its shard (tombstone semantics, see Db::Delete).
+  /// Deletes a key on its shard (tombstone semantics, see
+  /// Db::WriteBatch).
   bool Delete(uint64_t key) { return shards_[shard_of(key)]->Delete(key); }
 
   /// Batched write: entries are partitioned per shard and each shard's
-  /// sub-batch runs Db::PutBatch (one WAL record + one memtable pass
+  /// sub-batch runs Db::WriteBatch (one WAL record + one memtable pass
   /// per shard) as one pool task, mirroring MultiGet's fan-out.
-  /// Atomicity-of-logging holds per shard, not across shards.
-  bool PutBatch(std::span<const KV> kvs);
-
-  /// Batched delete, fanned out per shard like PutBatch: one delete
-  /// WAL record + one memtable pass per shard, so recovery applies
-  /// each shard's sub-batch all-or-nothing (per shard, not across
-  /// shards).
-  bool DeleteBatch(std::span<const uint64_t> keys);
+  /// Recovery applies each shard's sub-batch all-or-nothing — per
+  /// shard, not across shards.
+  bool WriteBatch(std::span<const KV> kvs);
 
   /// Batched point read, result[i] answering keys[i]. Keys are
   /// partitioned per shard, each shard's sub-batch runs Db::MultiGet
@@ -171,6 +144,12 @@ class ShardedDb {
   }
 
  private:
+  /// Runs fn(s) as one pool task for every shard s (or only for the
+  /// shards listed in `only`, when non-empty) and waits for all of
+  /// them; true iff every call returned true.
+  bool AllShards(const std::function<bool(size_t)>& fn,
+                 std::span<const size_t> only = {});
+
   ShardedDbOptions options_;
   std::vector<std::unique_ptr<Db>> shards_;
   std::unique_ptr<ThreadPool> pool_;

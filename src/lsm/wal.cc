@@ -15,11 +15,13 @@
 namespace bloomrf {
 
 namespace {
-constexpr char kBatchRecord = 1;
-// Mixed put/delete batches. (Type 2 is the MANIFEST's edit record —
-// different file, but keeping the type space disjoint means a log
-// byte-stream can never be mistaken for the other kind.)
-constexpr char kOpsBatchRecord = 3;
+// Put-only batches, written by earlier builds; replay-only.
+constexpr char kPutRecord = 1;
+// Put/delete batches, the only record written. (Type 2 is the
+// MANIFEST's edit record — different file, but keeping the type space
+// disjoint means a log byte-stream can never be mistaken for the other
+// kind.)
+constexpr char kBatchRecord = 3;
 constexpr uint8_t kOpDeleteFlag = 1;
 constexpr size_t kHeaderSize = 4 + 4 + 1;  // crc, length, type
 // A length beyond any plausible memtable keeps a garbage header from
@@ -103,7 +105,9 @@ FramedReplayResult ReplayFramedFile(
 void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record) {
   record->clear();
   size_t bytes = kHeaderSize + 4;
-  for (const KV& kv : kvs) bytes += 12 + kv.value.size();
+  for (const KV& kv : kvs) {
+    bytes += 9 + (kv.is_delete ? 0 : 4 + kv.value.size());
+  }
   record->reserve(bytes);
   // Header placeholder; crc and length are patched once the payload is
   // in place, so the record is built in a single buffer.
@@ -112,7 +116,8 @@ void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record) {
   PutFixed32(record, static_cast<uint32_t>(kvs.size()));
   for (const KV& kv : kvs) {
     PutFixed64(record, kv.key);
-    PutLengthPrefixed(record, kv.value);
+    record->push_back(static_cast<char>(kv.is_delete ? kOpDeleteFlag : 0));
+    if (!kv.is_delete) PutLengthPrefixed(record, kv.value);
   }
   uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
   uint32_t length = static_cast<uint32_t>(record->size() - kHeaderSize);
@@ -127,53 +132,13 @@ std::string WalEncodeRecord(std::span<const KV> kvs) {
   return record;
 }
 
-void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record) {
-  record->clear();
-  size_t bytes = kHeaderSize + 4;
-  for (const WriteOp& op : ops) {
-    bytes += 9 + (op.is_delete ? 0 : 4 + op.value.size());
-  }
-  record->reserve(bytes);
-  record->append(8, '\0');
-  record->push_back(kOpsBatchRecord);
-  PutFixed32(record, static_cast<uint32_t>(ops.size()));
-  for (const WriteOp& op : ops) {
-    PutFixed64(record, op.key);
-    record->push_back(
-        static_cast<char>(op.is_delete ? kOpDeleteFlag : 0));
-    if (!op.is_delete) PutLengthPrefixed(record, op.value);
-  }
-  uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
-  uint32_t length = static_cast<uint32_t>(record->size() - kHeaderSize);
-  char* header = record->data();
-  std::memcpy(header, &crc, 4);
-  std::memcpy(header + 4, &length, 4);
-}
-
-void WalEncodeDeletesTo(std::span<const uint64_t> keys, std::string* record) {
-  record->clear();
-  record->reserve(kHeaderSize + 4 + keys.size() * 9);
-  record->append(8, '\0');
-  record->push_back(kOpsBatchRecord);
-  PutFixed32(record, static_cast<uint32_t>(keys.size()));
-  for (uint64_t key : keys) {
-    PutFixed64(record, key);
-    record->push_back(static_cast<char>(kOpDeleteFlag));
-  }
-  uint32_t crc = Crc32c(record->data() + 8, record->size() - 8);
-  uint32_t length = static_cast<uint32_t>(record->size() - kHeaderSize);
-  char* header = record->data();
-  std::memcpy(header, &crc, 4);
-  std::memcpy(header + 4, &length, 4);
-}
-
 WalReplayResult WalReplay(
     const std::string& path,
     const std::function<void(uint64_t, std::string_view, bool)>& apply) {
   WalReplayResult result;
   FramedReplayResult framed = ReplayFramedFile(
       path, [&](char type, std::string_view payload) {
-        if (type != kBatchRecord && type != kOpsBatchRecord) {
+        if (type != kBatchRecord && type != kPutRecord) {
           return false;  // unknown type: garbage
         }
         // Validate the whole record before applying any of it: a
@@ -182,12 +147,12 @@ WalReplayResult WalReplay(
         // all-or-nothing holds for mixed put/delete records too).
         if (payload.size() < 4) return false;
         uint32_t count = DecodeFixed32(payload.data());
-        struct Entry {
-          uint64_t key;
-          std::string_view value;
-          bool is_delete;
-        };
-        std::vector<Entry> batch;
+        // Smallest entry: a delete (key + flags) or, in a put-only
+        // record, an empty put (key + value_len). A count the payload
+        // cannot hold is garbage, rejected before it sizes the vector.
+        const size_t min_entry = type == kBatchRecord ? 9 : 12;
+        if (count > (payload.size() - 4) / min_entry) return false;
+        std::vector<KV> batch;
         batch.reserve(count);
         size_t at = 4;
         for (uint32_t i = 0; i < count; ++i) {
@@ -196,7 +161,7 @@ WalReplayResult WalReplay(
           at += 8;
           std::string_view value;
           bool is_delete = false;
-          if (type == kOpsBatchRecord) {
+          if (type == kBatchRecord) {
             if (at + 1 > payload.size()) return false;
             uint8_t flags = static_cast<uint8_t>(payload[at]);
             if ((flags & ~kOpDeleteFlag) != 0) return false;  // garbage
@@ -209,7 +174,7 @@ WalReplayResult WalReplay(
           batch.push_back({key, value, is_delete});
         }
         if (at != payload.size()) return false;
-        for (const Entry& e : batch) apply(e.key, e.value, e.is_delete);
+        for (const KV& e : batch) apply(e.key, e.value, e.is_delete);
         result.entries += batch.size();
         return true;
       });

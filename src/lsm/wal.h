@@ -3,18 +3,19 @@
 //
 // Record format (little-endian):
 //   crc:fixed32  length:fixed32  type:1  payload[length]
-//   payload (type kBatch): count:fixed32 then count x
-//     { key:fixed64 value_len:fixed32 value[value_len] }
-//   payload (type kOpsBatch): count:fixed32 then count x
+//   payload (type 3): count:fixed32 then count x
 //     { key:fixed64 flags:1 [value_len:fixed32 value[value_len]] }
 //     where flags bit 0 = tombstone (deletes carry no value bytes)
-// kBatch is the pure-put record (the hot Put/PutBatch path, unchanged
-// from pre-delete logs, so old logs replay byte-identically); kOpsBatch
-// carries mixed Put/Delete batches. The CRC-32C covers type+payload,
-// so recovery distinguishes a torn tail (truncated write at crash)
-// from real data: replay stops at the first record that is short,
-// fails its checksum, or has an unknown type, and everything before it
-// is trusted.
+// Every record this build writes is type 3: one WriteBatch of puts
+// and deletes (Put and Delete are batches of one). Replay also reads
+// type 1, the put-only layout { key:fixed64 value_len:fixed32
+// value[value_len] } that earlier builds wrote on every Put: a store
+// those builds closed keeps unflushed data in its log, so dropping
+// the decoder would lose it on upgrade. The CRC-32C covers
+// type+payload, so recovery distinguishes a torn tail (truncated
+// write at crash) from real data: replay stops at the first record
+// that is short, fails its checksum, or has an unknown type, and
+// everything before it is trusted.
 //
 // Group commit: writers encode their record and, under the writer
 // mutex, either become the leader — which commits its own record
@@ -85,32 +86,20 @@ FramedReplayResult ReplayFramedFile(
     const std::string& path,
     const std::function<bool(char, std::string_view)>& apply);
 
-/// One write-path entry: the unit of Db::Put / Db::PutBatch. The view
-/// must stay valid for the duration of the call that receives it.
+/// One write-path operation, the unit of Db::WriteBatch: a put of
+/// `value`, or a delete (the value is ignored). The view must stay
+/// valid for the duration of the call that receives it.
 struct KV {
-  uint64_t key = 0;
-  std::string_view value;
-};
-
-/// One generalized write-path operation: a put or a delete. The value
-/// view must stay valid for the call that receives it (and is ignored
-/// for deletes).
-struct WriteOp {
   uint64_t key = 0;
   std::string_view value;
   bool is_delete = false;
 };
 
-/// Encodes one CRC-framed kBatch record covering all of `kvs`.
+/// Encodes one CRC-framed type-3 record covering all of `kvs`.
 std::string WalEncodeRecord(std::span<const KV> kvs);
 /// Same, into a caller-owned buffer (cleared first) — the hot write
 /// path reuses a thread_local string to avoid an allocation per Put.
 void WalEncodeRecordTo(std::span<const KV> kvs, std::string* record);
-/// Encodes one CRC-framed kOpsBatch record covering all of `ops`
-/// (mixed puts and deletes), into a caller-owned buffer.
-void WalEncodeOpsTo(std::span<const WriteOp> ops, std::string* record);
-/// Encodes one CRC-framed kOpsBatch record of pure deletes.
-void WalEncodeDeletesTo(std::span<const uint64_t> keys, std::string* record);
 
 struct WalReplayResult {
   uint64_t records = 0;   // intact records applied

@@ -207,7 +207,7 @@ TEST_F(CompactionTest, FullMergeDropsTombstonesAcrossEveryBackend) {
       ASSERT_TRUE(db.Flush());
       std::vector<uint64_t> doomed;
       for (uint64_t k = 0; k < 600; k += 3) doomed.push_back(k);
-      ASSERT_TRUE(db.DeleteBatch(doomed));
+      ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
       for (uint64_t k : doomed) expected.erase(k);
       ASSERT_TRUE(db.Flush());
       // The tombstones are now live in an L0 SST (and counted).
@@ -263,7 +263,7 @@ TEST_F(CompactionTest, TombstoneIsKeptWhileDeeperLevelsHoldTheKey) {
   // Delete a slice of keys that live in the deep levels.
   std::vector<uint64_t> doomed;
   for (uint64_t k = 0; k < 1500; k += 4) doomed.push_back(k);
-  ASSERT_TRUE(db.DeleteBatch(doomed));
+  ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
   for (uint64_t k : doomed) expected.erase(k);
   ASSERT_TRUE(db.Flush());
   // Freshly flushed: the tombstones are live on disk.

@@ -117,14 +117,15 @@ class CrashMatrixTest : public ::testing::Test {
   }
 
   /// The fixed workload: four rounds over one overlapping keyspace,
-  /// each round putting, deleting (singly, as a DeleteBatch, and mixed
-  /// into a WriteBatch), and re-putting some of what it just deleted,
-  /// then sealing into an SST with compaction churning the tree
-  /// between rounds. Because rounds overlap, a key deleted in round r
-  /// usually has live versions in older SSTs — the exact data a buggy
-  /// recovery or compaction would resurrect. Failure returns are
-  /// deliberately ignored — after the kill point everything fails, but
-  /// every acknowledged write still reached the WAL+memtable.
+  /// each round putting, deleting (singly, as a WriteBatch of deletes,
+  /// and mixed with puts into one WriteBatch), and re-putting some of
+  /// what it just deleted, then sealing into an SST with compaction
+  /// churning the tree between rounds. Because rounds overlap, a key
+  /// deleted in round r usually has live versions in older SSTs — the
+  /// exact data a buggy recovery or compaction would resurrect.
+  /// Failure returns are deliberately ignored — after the kill point
+  /// everything fails, but every acknowledged write still reached the
+  /// WAL+memtable.
   static void RunWorkload(const std::string& dir, Env* env,
                           std::map<uint64_t, std::string>* expected,
                           PolicyFactory policy = BloomFactory,
@@ -146,16 +147,16 @@ class CrashMatrixTest : public ::testing::Test {
       // Single deletes over keys the earlier rounds likely still hold.
       for (uint64_t i = 0; i < 10; ++i) del((i * 11 + round * 7) % kKeySpace);
       // A batched delete: one WAL record, all-or-nothing in recovery.
-      std::vector<uint64_t> batch;
+      std::vector<KV> batch;
       for (uint64_t i = 0; i < 6; ++i) {
-        batch.push_back((i * 17 + round * 13) % kKeySpace);
+        batch.push_back({(i * 17 + round * 13) % kKeySpace, {}, true});
       }
-      db.DeleteBatch(batch);
-      for (uint64_t key : batch) expected->erase(key);
+      db.WriteBatch(batch);
+      for (const KV& kv : batch) expected->erase(kv.key);
       // A mixed batch: puts and deletes framed as ONE record.
-      std::vector<std::string> held;  // keeps WriteOp views alive
+      std::vector<std::string> held;  // keeps KV views alive
       held.reserve(6);
-      std::vector<WriteOp> ops;
+      std::vector<KV> ops;
       for (uint64_t i = 0; i < 6; ++i) {
         if (i % 2 == 0) {
           uint64_t key = (i * 19 + round) % kKeySpace;
@@ -168,7 +169,7 @@ class CrashMatrixTest : public ::testing::Test {
         }
       }
       db.WriteBatch(ops);
-      for (const WriteOp& op : ops) {
+      for (const KV& op : ops) {
         if (op.is_delete) {
           expected->erase(op.key);
         } else {

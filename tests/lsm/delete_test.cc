@@ -13,6 +13,7 @@
 #include "lsm/db.h"
 #include "lsm/table_builder.h"
 #include "lsm/table_reader.h"
+#include "tests/test_util.h"
 
 namespace bloomrf {
 namespace {
@@ -83,20 +84,19 @@ TEST_F(DeleteTest, WriteBatchAppliesOpsInOrder) {
   Db db(Options());
   ASSERT_TRUE(db.Put(7, "start"));
   // put 7 then delete 7 in ONE batch: the delete is later, so it wins.
-  std::vector<WriteOp> batch1 = {{7, "mid", false},
-                                 {7, std::string_view(), true}};
+  std::vector<KV> batch1 = {{7, "mid", false},
+                            {7, std::string_view(), true}};
   ASSERT_TRUE(db.WriteBatch(batch1));
   std::string value;
   EXPECT_FALSE(db.Get(7, &value));
   // delete 7 then put 7: the put is later, so the key lives.
-  std::vector<WriteOp> batch2 = {{7, std::string_view(), true},
-                                 {7, "end", false}};
+  std::vector<KV> batch2 = {{7, std::string_view(), true},
+                            {7, "end", false}};
   ASSERT_TRUE(db.WriteBatch(batch2));
   ASSERT_TRUE(db.Get(7, &value));
   EXPECT_EQ(value, "end");
   // Empty batches are a no-op success.
   EXPECT_TRUE(db.WriteBatch({}));
-  EXPECT_TRUE(db.DeleteBatch({}));
 }
 
 TEST_F(DeleteTest, TombstonedKeysStayInTheFilter) {
@@ -233,7 +233,7 @@ TEST_F(DeleteTest, StatsTrackTombstoneLifecycle) {
   for (uint64_t k = 0; k < 100; ++k) ASSERT_TRUE(db.Put(k, "v"));
   ASSERT_TRUE(db.Flush());
   std::vector<uint64_t> doomed = {3, 5, 8};
-  ASSERT_TRUE(db.DeleteBatch(doomed));
+  ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
   ASSERT_TRUE(db.Flush());
   EXPECT_EQ(db.stats().tombstones_written.load(), 3u);
   EXPECT_EQ(db.stats().tombstones_live.load(), 3u);

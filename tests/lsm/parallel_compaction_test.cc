@@ -22,6 +22,7 @@
 
 #include "lsm/db.h"
 #include "lsm/sharded_db.h"
+#include "tests/test_util.h"
 #include "workload/key_generator.h"
 
 namespace bloomrf {
@@ -103,7 +104,7 @@ class ParallelCompactionTest : public ::testing::Test {
     for (size_t i = 0; i < data.keys.size(); i += 7) {
       doomed.push_back(data.keys[i]);
     }
-    ASSERT_TRUE(db.DeleteBatch(doomed));
+    ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
     for (uint64_t k : doomed) expected->erase(k);
     ASSERT_TRUE(db.Flush());
   }
@@ -219,7 +220,7 @@ TEST_F(ParallelCompactionTest, CompactRangeCompactsOnlyTheRequestedRange) {
   // Delete a band in the middle; the tombstones land in one L0 file.
   std::vector<uint64_t> doomed;
   for (uint64_t k = 500; k < 800; ++k) doomed.push_back(k);
-  ASSERT_TRUE(db.DeleteBatch(doomed));
+  ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
   for (uint64_t k : doomed) expected.erase(k);
   ASSERT_TRUE(db.Flush());
   EXPECT_EQ(db.stats().tombstones_live.load(), doomed.size());
@@ -287,7 +288,7 @@ TEST_F(ParallelCompactionTest, SchedulerDrainsUnderWritePressure) {
     for (uint64_t k = static_cast<uint64_t>(round); k < 2000; k += 5) {
       doomed.push_back(k);
     }
-    ASSERT_TRUE(db.DeleteBatch(doomed));
+    ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
     for (uint64_t k : doomed) expected.erase(k);
     ASSERT_TRUE(db.Flush());
   }
@@ -357,7 +358,7 @@ TEST_F(ParallelCompactionTest, ShardedDbCompactRangeFansOut) {
   }
   std::vector<uint64_t> doomed;
   for (uint64_t k = 0; k < 2000; k += 3) doomed.push_back(k * 7);
-  ASSERT_TRUE(db.DeleteBatch(doomed));
+  ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
   for (uint64_t k : doomed) expected.erase(k);
   ASSERT_TRUE(db.Flush());
 

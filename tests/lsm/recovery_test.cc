@@ -13,6 +13,7 @@
 
 #include "lsm/db.h"
 #include "lsm/sharded_db.h"
+#include "tests/test_util.h"
 #include "workload/key_generator.h"
 
 namespace bloomrf {
@@ -114,7 +115,7 @@ TEST_F(RecoveryTest, BatchIsAllOrNothingInRecovery) {
     ASSERT_TRUE(db.Put(1, "single"));
     std::vector<KV> batch;
     for (uint64_t k = 100; k < 110; ++k) batch.push_back({k, "batched"});
-    ASSERT_TRUE(db.PutBatch(batch));
+    ASSERT_TRUE(db.WriteBatch(batch));
   }
   auto files = WalFiles();
   ASSERT_EQ(files.size(), 1u);
@@ -161,7 +162,7 @@ TEST_F(RecoveryTest, DeletedKeyStaysDeletedAcrossReplay) {
   for (const auto& [k, v] : rows) EXPECT_NE(k, 42u);
 }
 
-TEST_F(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
+TEST_F(RecoveryTest, MixedWriteBatchIsAllOrNothingInRecovery) {
   {
     Db db(Options());
     for (uint64_t k = 100; k < 110; ++k) ASSERT_TRUE(db.Put(k, "old"));
@@ -169,7 +170,7 @@ TEST_F(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
     // One mixed batch: five puts, five deletes, framed as ONE record.
     std::vector<std::string> held;
     held.reserve(5);
-    std::vector<WriteOp> ops;
+    std::vector<KV> ops;
     for (uint64_t k = 200; k < 205; ++k) {
       held.push_back("new" + std::to_string(k));
       ops.push_back({k, held.back(), false});
@@ -197,13 +198,13 @@ TEST_F(RecoveryTest, MixedPutDeleteBatchIsAllOrNothingInRecovery) {
   }
 }
 
-TEST_F(RecoveryTest, DeleteBatchSurvivesKillReopenIntact) {
+TEST_F(RecoveryTest, BatchedDeletesSurviveKillReopenIntact) {
   {
     Db db(Options());
     for (uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(db.Put(k, "v"));
     std::vector<uint64_t> doomed;
     for (uint64_t k = 0; k < 64; k += 4) doomed.push_back(k);
-    ASSERT_TRUE(db.DeleteBatch(doomed));
+    ASSERT_TRUE(db.WriteBatch(testing::Deletes(doomed)));
   }
   Db db(Options());
   std::string value;
@@ -359,11 +360,12 @@ TEST_F(RecoveryTest, WalOffMeansMemtableIsLost) {
   EXPECT_FALSE(db.Get(0, &value));
 }
 
-TEST_F(RecoveryTest, ShardedPutBatchRecoversPerShard) {
+TEST_F(RecoveryTest, ShardedWriteBatchRecoversPerShard) {
   ShardedDbOptions options;
   options.dir = dir_;
   options.filter_policy = NewBloomRFPolicy(18.0, 1e6);
   options.num_shards = 4;
+  auto deleted = [](uint64_t k) { return k % 5 == 0; };
   {
     ShardedDb db(options);
     std::vector<KV> batch;
@@ -373,13 +375,27 @@ TEST_F(RecoveryTest, ShardedPutBatchRecoversPerShard) {
       values.push_back(MakeValue(k, 20));
       batch.push_back({k, values.back()});
     }
-    ASSERT_TRUE(db.PutBatch(batch));
+    ASSERT_TRUE(db.WriteBatch(batch));
+    // A second batch mixes deletes of every fifth key with a re-put
+    // of key 0 after its delete: the later entry wins, per shard.
+    batch.clear();
+    for (uint64_t k = 0; k < 256; ++k) {
+      if (deleted(k)) batch.push_back({k, {}, /*is_delete=*/true});
+    }
+    batch.push_back({0, values[0]});
+    ASSERT_TRUE(db.WriteBatch(batch));
     std::string value;
-    for (uint64_t k = 0; k < 256; ++k) ASSERT_TRUE(db.Get(k, &value));
+    for (uint64_t k = 0; k < 256; ++k) {
+      EXPECT_EQ(db.Get(k, &value), k == 0 || !deleted(k)) << k;
+    }
   }
   ShardedDb db(options);
   std::string value;
   for (uint64_t k = 0; k < 256; ++k) {
+    if (k != 0 && deleted(k)) {
+      EXPECT_FALSE(db.Get(k, &value)) << "resurrected " << k;
+      continue;
+    }
     ASSERT_TRUE(db.Get(k, &value)) << k;
     EXPECT_EQ(value, MakeValue(k, 20));
   }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "lsm/table_reader.h"  // LsmStats
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace bloomrf {
@@ -94,7 +95,9 @@ TEST_F(WalTest, RoundTripBatchRecordIncludingEmptyValues) {
       {7, "seven"}, {8, ""}, {9, std::string_view("\0\xff\0", 3)}};
   {
     WalWriter writer(path_, false, nullptr);
-    ASSERT_TRUE(writer.Append(WalEncodeRecord(batch)));
+    const std::string record = WalEncodeRecord(batch);
+    EXPECT_EQ(record[8], 3);  // puts too are written as type 3
+    ASSERT_TRUE(writer.Append(record));
   }
   WalReplayResult result;
   auto entries = Replay(&result);
@@ -106,87 +109,69 @@ TEST_F(WalTest, RoundTripBatchRecordIncludingEmptyValues) {
 }
 
 TEST_F(WalTest, RoundTripOpsBatchMixedPutsAndDeletes) {
-  std::vector<WriteOp> ops = {{1, "one", false},
-                              {2, std::string_view(), true},
-                              {3, "", false},
-                              {4, std::string_view(), true}};
+  std::vector<KV> mixed = {{1, "one", false},
+                           {2, std::string_view(), true},
+                           {3, "", false},
+                           {4, std::string_view(), true}};
+  std::vector<KV> pure_deletes = {{10, std::string_view(), true},
+                                  {20, std::string_view(), true},
+                                  {30, std::string_view(), true}};
   {
     WalWriter writer(path_, false, nullptr);
-    std::string record;
-    WalEncodeOpsTo(ops, &record);
-    ASSERT_TRUE(writer.Append(record));
+    for (const auto* kvs : {&mixed, &pure_deletes}) {
+      const std::string record = WalEncodeRecord(*kvs);
+      EXPECT_EQ(record[8], 3);  // the one record type written
+      ASSERT_TRUE(writer.Append(record));
+    }
   }
   WalReplayResult result;
   auto replayed = ReplayOps(&result);
   EXPECT_TRUE(result.clean);
-  EXPECT_EQ(result.records, 1u);
-  EXPECT_EQ(result.entries, 4u);
-  ASSERT_EQ(replayed.size(), 4u);
+  EXPECT_EQ(result.records, 2u);
+  EXPECT_EQ(result.entries, 7u);
+  ASSERT_EQ(replayed.size(), 7u);
   EXPECT_FALSE(replayed[0].is_delete);
   EXPECT_EQ(replayed[0].value, "one");
   EXPECT_TRUE(replayed[1].is_delete);
   EXPECT_TRUE(replayed[1].value.empty());
   EXPECT_FALSE(replayed[2].is_delete);  // empty put is not a delete
   EXPECT_TRUE(replayed[3].is_delete);
+  for (size_t i = 0; i < pure_deletes.size(); ++i) {
+    EXPECT_EQ(replayed[4 + i].key, pure_deletes[i].key);
+    EXPECT_TRUE(replayed[4 + i].is_delete);
+  }
 }
 
-TEST_F(WalTest, RoundTripPureDeleteRecord) {
-  std::vector<uint64_t> keys = {10, 20, 30};
-  {
-    WalWriter writer(path_, false, nullptr);
-    std::string record;
-    WalEncodeDeletesTo(keys, &record);
-    ASSERT_TRUE(writer.Append(record));
-  }
+TEST_F(WalTest, PutOnlyRecordOfEarlierBuildsStillReplays) {
+  // Earlier builds logged every Put as a type-1 record: count, then
+  // { key:8 value_len:4 value } per entry, no flags byte. No build
+  // writes it any more, but a log such a build left behind must still
+  // replay — empty values included.
+  std::string payload;
+  PutFixed32(&payload, 2);
+  PutFixed64(&payload, 5);
+  PutLengthPrefixed(&payload, "five");
+  PutFixed64(&payload, 6);
+  PutLengthPrefixed(&payload, "");
+  std::string record;
+  AppendFramedRecord(/*type=*/1, payload, &record);
+  AppendRaw(record);
+  KV kv{7, "seven"};
+  AppendRaw(WalEncodeRecord({&kv, 1}));  // a newer build appends type 3
   WalReplayResult result;
   auto replayed = ReplayOps(&result);
   EXPECT_TRUE(result.clean);
+  EXPECT_EQ(result.records, 2u);
+  EXPECT_EQ(result.entries, 3u);
   ASSERT_EQ(replayed.size(), 3u);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(replayed[i].key, keys[i]);
-    EXPECT_TRUE(replayed[i].is_delete);
-  }
-}
-
-TEST_F(WalTest, EveryTruncationPointIsSafeOverDeleteRecords) {
-  // Same boundary fuzz as the put-record variant, over records that
-  // interleave puts and deletes: any cut must replay an intact prefix
-  // of WHOLE records (ops batches are all-or-nothing) and never
-  // misparse a delete as a put or vice versa.
-  const int kRecords = 4;
-  const std::string put_value(7, 'p');  // outlives the WriteOp views
-  {
-    WalWriter writer(path_, false, nullptr);
-    for (uint64_t k = 0; k < kRecords; ++k) {
-      std::vector<WriteOp> ops = {{2 * k, put_value, false},
-                                  {2 * k + 1, std::string_view(), true}};
-      std::string record;
-      WalEncodeOpsTo(ops, &record);
-      ASSERT_TRUE(writer.Append(record));
-    }
-  }
-  const uint64_t full = std::filesystem::file_size(path_);
-  const uint64_t record = full / kRecords;
-  std::string original;
-  {
-    std::ifstream f(path_, std::ios::binary);
-    original.assign(std::istreambuf_iterator<char>(f),
-                    std::istreambuf_iterator<char>());
-  }
-  for (uint64_t cut = 0; cut <= full; ++cut) {
-    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
-    f.write(original.data(), static_cast<std::streamsize>(cut));
-    f.close();
-    WalReplayResult result;
-    auto ops = ReplayOps(&result);
-    ASSERT_EQ(ops.size(), 2 * (cut / record)) << "cut at " << cut;
-    EXPECT_EQ(result.clean, cut % record == 0) << "cut at " << cut;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      EXPECT_EQ(ops[i].key, i);
-      EXPECT_EQ(ops[i].is_delete, i % 2 == 1);
-      if (!ops[i].is_delete) EXPECT_EQ(ops[i].value, std::string(7, 'p'));
-    }
-  }
+  EXPECT_EQ(replayed[0].key, 5u);
+  EXPECT_EQ(replayed[0].value, "five");
+  EXPECT_FALSE(replayed[0].is_delete);
+  EXPECT_EQ(replayed[1].key, 6u);
+  EXPECT_EQ(replayed[1].value, "");
+  EXPECT_FALSE(replayed[1].is_delete);  // an empty put, not a delete
+  EXPECT_EQ(replayed[2].key, 7u);
+  EXPECT_EQ(replayed[2].value, "seven");
 }
 
 TEST_F(WalTest, UnknownOpFlagBitsStopReplay) {
@@ -235,34 +220,50 @@ TEST_F(WalTest, TruncatedTailKeepsPrefix) {
 
 TEST_F(WalTest, EveryTruncationPointIsSafe) {
   // Fuzz the boundary: whatever byte the crash cut at, replay must
-  // yield an intact prefix and never crash or misparse.
-  {
-    WalWriter writer(path_, false, nullptr);
-    for (uint64_t k = 0; k < 4; ++k) {
-      std::string value(7, static_cast<char>('a' + k));
-      KV kv{k, value};
-      ASSERT_TRUE(writer.Append(WalEncodeRecord({&kv, 1})));
-    }
+  // yield an intact prefix of WHOLE records (batches are
+  // all-or-nothing), never crash, and never misparse a delete as a put
+  // or vice versa. Two logs: what this build writes (type-3 records
+  // interleaving puts and deletes) and what earlier builds wrote
+  // (hand-framed type-1 records of puts, one with an empty value).
+  const int kRecords = 4;
+  std::string current_log, earlier_log;
+  std::vector<Op> current_ops, earlier_ops;
+  for (uint64_t k = 0; k < kRecords; ++k) {
+    std::string value(7, static_cast<char>('a' + k));
+    std::vector<KV> kvs = {{2 * k, value, false},
+                           {2 * k + 1, std::string_view(), true}};
+    current_log += WalEncodeRecord(kvs);
+    current_ops.push_back({2 * k, value, false});
+    current_ops.push_back({2 * k + 1, "", true});
+
+    std::string payload;
+    PutFixed32(&payload, 2);
+    PutFixed64(&payload, 2 * k);
+    PutLengthPrefixed(&payload, value);
+    PutFixed64(&payload, 2 * k + 1);
+    PutLengthPrefixed(&payload, "");
+    AppendFramedRecord(/*type=*/1, payload, &earlier_log);
+    earlier_ops.push_back({2 * k, value, false});
+    earlier_ops.push_back({2 * k + 1, "", false});
   }
-  const uint64_t full = std::filesystem::file_size(path_);
-  const uint64_t record = full / 4;
-  std::string original;
-  {
-    std::ifstream f(path_, std::ios::binary);
-    original.assign(std::istreambuf_iterator<char>(f),
-                    std::istreambuf_iterator<char>());
-  }
-  for (uint64_t cut = 0; cut <= full; ++cut) {
-    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
-    f.write(original.data(), static_cast<std::streamsize>(cut));
-    f.close();
-    WalReplayResult result;
-    auto entries = Replay(&result);
-    EXPECT_EQ(entries.size(), cut / record) << "cut at " << cut;
-    EXPECT_EQ(result.clean, cut % record == 0) << "cut at " << cut;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(entries[i].first, i);
-      EXPECT_EQ(entries[i].second, std::string(7, static_cast<char>('a' + i)));
+  const std::pair<const std::string*, const std::vector<Op>*> logs[] = {
+      {&current_log, &current_ops}, {&earlier_log, &earlier_ops}};
+  for (const auto& [log, expected] : logs) {
+    const uint64_t full = log->size();
+    const uint64_t record = full / kRecords;
+    for (uint64_t cut = 0; cut <= full; ++cut) {
+      std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+      f.write(log->data(), static_cast<std::streamsize>(cut));
+      f.close();
+      WalReplayResult result;
+      auto ops = ReplayOps(&result);
+      ASSERT_EQ(ops.size(), 2 * (cut / record)) << "cut at " << cut;
+      EXPECT_EQ(result.clean, cut % record == 0) << "cut at " << cut;
+      for (size_t i = 0; i < ops.size(); ++i) {
+        EXPECT_EQ(ops[i].key, (*expected)[i].key);
+        EXPECT_EQ(ops[i].is_delete, (*expected)[i].is_delete);
+        EXPECT_EQ(ops[i].value, (*expected)[i].value);
+      }
     }
   }
 }
@@ -322,6 +323,23 @@ TEST_F(WalTest, HugeLengthHeaderDoesNotAllocate) {
   auto entries = Replay(&result);
   EXPECT_FALSE(result.clean);
   EXPECT_TRUE(entries.empty());
+
+  // A CRC-valid record whose payload is only a count of 2^32 - 1
+  // entries must be rejected before the count sizes anything, in both
+  // record layouts: replay keeps the intact record before it.
+  for (char type : {1, 3}) {
+    std::filesystem::remove(path_);
+    KV kv{1, "intact"};
+    AppendRaw(WalEncodeRecord({&kv, 1}));
+    std::string record;
+    AppendFramedRecord(type, std::string(4, '\xff'), &record);
+    AppendRaw(record);
+    entries = Replay(&result);
+    EXPECT_FALSE(result.clean) << "type " << int{type};
+    EXPECT_EQ(result.records, 1u) << "type " << int{type};
+    ASSERT_EQ(entries.size(), 1u) << "type " << int{type};
+    EXPECT_EQ(entries[0].second, "intact");
+  }
 }
 
 TEST_F(WalTest, BrokenDirectoryFailsAppendAndSetsLastError) {

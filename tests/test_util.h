@@ -1,5 +1,5 @@
 // Shared helpers for the test suite: deterministic key sets,
-// ground-truth range emptiness and SST corruption.
+// ground-truth range emptiness, delete batches and SST corruption.
 
 #ifndef BLOOMRF_TESTS_TEST_UTIL_H_
 #define BLOOMRF_TESTS_TEST_UTIL_H_
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "lsm/wal.h"
 #include "util/coding.h"
 #include "util/random.h"
 
@@ -39,6 +40,14 @@ inline bool GroundTruthRange(const std::set<uint64_t>& keys, uint64_t lo,
 inline uint64_t RangeEnd(uint64_t lo, uint64_t size) {
   if (size == 0) size = 1;
   return lo > UINT64_MAX - (size - 1) ? UINT64_MAX : lo + (size - 1);
+}
+
+/// A WriteBatch that deletes each of `keys`, in order.
+inline std::vector<KV> Deletes(const std::vector<uint64_t>& keys) {
+  std::vector<KV> batch;
+  batch.reserve(keys.size());
+  for (uint64_t key : keys) batch.push_back({key, {}, /*is_delete=*/true});
+  return batch;
 }
 
 /// Flips one byte in the middle of `path`'s data-block region (v3
