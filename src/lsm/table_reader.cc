@@ -163,20 +163,24 @@ bool TableReader::ReadBlockAt(size_t index_pos, std::string* buffer,
   } else {
     ok = ReadFileAt(entry.offset, physical, buffer);
   }
-  if (ok) {
-    uint32_t expected = DecodeFixed32(buffer->data() + entry.size);
-    buffer->resize(entry.size);
-    if (Crc32c(*buffer) != expected) {
-      // Served as "block unreadable" (callers skip or stop), never as
-      // garbage entries.
-      if (stats != nullptr) {
-        ++stats->block_crc_errors;
-        stats->SetLastError("sst: block crc mismatch in " + path_);
-      }
-      return false;
+  if (!ok) {
+    if (stats != nullptr) {
+      stats->SetLastError("sst: block read failed in " + path_);
     }
+    return false;
   }
-  return ok;
+  uint32_t expected = DecodeFixed32(buffer->data() + entry.size);
+  buffer->resize(entry.size);
+  if (Crc32c(*buffer) != expected) {
+    // Served as "block unreadable" (callers skip or stop), never as
+    // garbage entries.
+    if (stats != nullptr) {
+      ++stats->block_crc_errors;
+      stats->SetLastError("sst: block crc mismatch in " + path_);
+    }
+    return false;
+  }
+  return true;
 }
 
 std::shared_ptr<const CachedBlock> TableReader::GetBlock(

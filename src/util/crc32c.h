@@ -1,7 +1,15 @@
-// CRC-32C (Castagnoli, reflected polynomial 0x82f63b78) — the checksum
-// framing every WAL record so recovery can tell a torn tail from real
-// data. Software slicing-by-8 table implementation; fast enough that
-// the WAL write() dominates.
+// CRC-32C (Castagnoli, reflected polynomial 0x82f63b78): the checksum
+// of every SST block, index and filter, every WAL record and every
+// MANIFEST edit.
+//
+// Dispatched at run time, with the same result on every path:
+//   - x86-64 with SSE4.2: the crc32 instruction, three interleaved
+//     streams for inputs of at least 768 bytes (Gopal et al., Intel
+//     2011), one stream for shorter inputs and the tail;
+//   - anything else: software slicing-by-8.
+// The hardware path follows the SIMD dispatch of util/simd.h: it is
+// taken unless ActiveSimdLevel() is kScalar, so BLOOMRF_FORCE_SCALAR=1
+// or SetSimdLevelForTesting(SimdLevel::kScalar) forces slicing-by-8.
 
 #ifndef BLOOMRF_UTIL_CRC32C_H_
 #define BLOOMRF_UTIL_CRC32C_H_

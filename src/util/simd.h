@@ -11,6 +11,8 @@
 //   - x86-64 with AVX2: 4-lane 64-bit gather + vectorized mask test
 //   - AArch64:          NEON 2x64-bit lanes (no gather; vector test)
 //   - anything else:    portable scalar loop
+// Crc32c (util/crc32c.h) follows the same level: SSE4.2 crc32 on x86-64
+// unless the level is kScalar, software slicing-by-8 otherwise.
 // The environment variable BLOOMRF_FORCE_SCALAR=1 forces the scalar
 // kernels regardless of ISA; tests flip levels at runtime with
 // SetSimdLevelForTesting to assert that every dispatch level produces

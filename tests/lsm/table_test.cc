@@ -117,6 +117,25 @@ TEST_F(TableTest, NullPolicyMeansNoFilter) {
   EXPECT_EQ(stats.filter_probes, 0u);
 }
 
+// A table truncated under an open reader: the failed pread of a lost
+// block must leave a trace in last_error(), as a CRC mismatch does.
+TEST_F(TableTest, FailedBlockReadSetsLastError) {
+  TableBuilder builder(nullptr, 4096);
+  for (uint64_t k = 0; k < 2000; ++k) builder.Add(k, MakeValue(k, 64));
+  const std::string path = dir_ + "/t.sst";
+  ASSERT_TRUE(builder.WriteTo(path, nullptr));
+  LsmStats stats;
+  auto reader = TableReader::Open(path, nullptr, &stats);
+  ASSERT_NE(reader, nullptr);
+  ASSERT_TRUE(stats.last_error().empty());
+
+  std::filesystem::resize_file(path, 4096);
+  std::string value;
+  EXPECT_NE(reader->Find(1999, &value, &stats), Lookup::kHit);
+  EXPECT_EQ(stats.last_error(), "sst: block read failed in " + path);
+  EXPECT_EQ(stats.block_crc_errors.load(), 0u);
+}
+
 // A one-block table (keys 5, 10, 15; no filter) written by hand with
 // the footer of format `version`: v3 is the current layout; v2 (48-byte
 // footer, magic ...1e52) and v1 (40-byte footer, magic ...1e5, no
