@@ -4,21 +4,19 @@
 
 namespace bloomrf {
 
-namespace {
-
-/// Appends every file of `level` overlapping [lo, hi] to the job
-/// (inputs + input_files). Levels >= 1 are disjoint sorted runs, so
-/// the overlap is a contiguous slice.
-void AddOverlapping(const Version::TableList& level_files, uint32_t level,
+void AddOverlapping(const Version& v, size_t first_level, size_t last_level,
                     uint64_t lo, uint64_t hi, CompactionJob* job) {
-  for (const auto& table : level_files) {
-    if (table->max_key() < lo || table->min_key() > hi) continue;
-    job->inputs.push_back(table);
-    job->input_files.emplace_back(level, table->file_number());
-  }
+  v.ForEachTable(lo, hi, [&](size_t level,
+                             const std::shared_ptr<const TableReader>& table) {
+    if (level > last_level) return false;
+    if (level >= first_level) {
+      job->inputs.push_back(table);
+      job->input_files.emplace_back(static_cast<uint32_t>(level),
+                                    table->file_number());
+    }
+    return true;
+  });
 }
-
-}  // namespace
 
 uint64_t LevelTargetBytes(const CompactionConfig& cfg, size_t level) {
   uint64_t target = cfg.level_base_bytes;
@@ -45,16 +43,15 @@ std::optional<CompactionJob> PickCompaction(const Version& v,
   // still be picked — that is the whole point of the multi-job
   // scheduler.
   if (levels[0].size() >= cfg.l0_trigger && pair_free(0)) {
+    uint64_t lo = UINT64_MAX, hi = 0;
+    for (const auto& table : levels[0]) {
+      lo = std::min(lo, table->min_key());
+      hi = std::max(hi, table->max_key());
+    }
+    // [lo, hi] spans every L0 file, so the walk takes all of L0.
     CompactionJob job;
     job.output_level = 1;
-    uint64_t lo = UINT64_MAX, hi = 0;
-    for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-      job.inputs.push_back(*it);
-      job.input_files.emplace_back(0, (*it)->file_number());
-      lo = std::min(lo, (*it)->min_key());
-      hi = std::max(hi, (*it)->max_key());
-    }
-    if (levels.size() > 1) AddOverlapping(levels[1], 1, lo, hi, &job);
+    AddOverlapping(v, 0, 1, lo, hi, &job);
     return job;
   }
 
@@ -79,15 +76,12 @@ std::optional<CompactionJob> PickCompaction(const Version& v,
     if (pick == nullptr) pick = &levels[level].front();  // wrap around
     if (level < cursors->size()) (*cursors)[level] = (*pick)->max_key();
 
+    // The pick is the only file of its (disjoint) level overlapping
+    // its own bounds, so the walk takes it plus the slice below.
     CompactionJob job;
     job.output_level = level + 1;
-    job.inputs.push_back(*pick);
-    job.input_files.emplace_back(static_cast<uint32_t>(level),
-                                 (*pick)->file_number());
-    if (level + 1 < levels.size()) {
-      AddOverlapping(levels[level + 1], static_cast<uint32_t>(level + 1),
-                     (*pick)->min_key(), (*pick)->max_key(), &job);
-    }
+    AddOverlapping(v, level, level + 1, (*pick)->min_key(), (*pick)->max_key(),
+                   &job);
     return job;
   }
   return std::nullopt;

@@ -49,6 +49,12 @@ struct CompactionJob {
   std::vector<std::pair<uint32_t, uint64_t>> input_files;
 };
 
+/// Appends to `job`, in read-precedence order (Version::ForEachTable),
+/// every file of levels [first_level, last_level] whose key range
+/// overlaps [lo, hi]. On a deeper level that is one contiguous slice.
+void AddOverlapping(const Version& v, size_t first_level, size_t last_level,
+                    uint64_t lo, uint64_t hi, CompactionJob* job);
+
 /// Picks the most pressing job on `v` whose input AND output levels
 /// are all free in the `busy_levels` bitmask (bit i = level i claimed
 /// by an in-flight job), or nullopt when nothing eligible is over

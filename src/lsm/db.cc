@@ -52,23 +52,6 @@ std::vector<std::pair<uint64_t, std::string>> ListNumberedFiles(
   return files;
 }
 
-/// All SSTs of the current Version in read precedence order: L0
-/// newest-first (flush order reversed), then each deeper level. Within
-/// a deeper level the files are disjoint, so their order carries no
-/// recency meaning.
-std::vector<const TableReader*> TablesNewestFirst(const Version& v) {
-  std::vector<const TableReader*> out;
-  const auto& levels = v.levels();
-  out.reserve(v.table_count());
-  for (auto it = levels[0].rbegin(); it != levels[0].rend(); ++it) {
-    out.push_back(it->get());
-  }
-  for (size_t level = 1; level < levels.size(); ++level) {
-    for (const auto& table : levels[level]) out.push_back(table.get());
-  }
-  return out;
-}
-
 }  // namespace
 
 Db::Db(DbOptions options) : options_(std::move(options)) {
@@ -805,15 +788,10 @@ bool Db::RunCompaction(const CompactionJob& job) {
   // Version swap publishes it. Input files are unlinked only after the
   // publication; readers holding an older Version keep them open (and
   // POSIX keeps unlinked-but-open files readable).
-  std::vector<uint64_t> input_numbers;
-  input_numbers.reserve(job.input_files.size());
-  for (const auto& [level, number] : job.input_files) {
-    input_numbers.push_back(number);
-  }
   {
     std::lock_guard<std::mutex> lock(version_mu_);
     auto next = versions_.Current()->WithCompaction(
-        input_numbers, job.output_level, outputs);
+        job.input_files, job.output_level, outputs);
     VersionEdit edit;
     edit.SetNextFileNumber(next_file_number_.load(std::memory_order_relaxed));
     edit.deleted = job.input_files;
@@ -949,7 +927,6 @@ bool Db::CompactRange(uint64_t begin, uint64_t end) {
   }
 
   auto version = versions_.Current();
-  const auto& levels = version->levels();
 
   // Fixpoint expansion to whole-file boundaries: a file overlapping
   // [lo, hi] pulls its own bounds into the range, which may overlap
@@ -957,52 +934,25 @@ bool Db::CompactRange(uint64_t begin, uint64_t end) {
   // deepest level) could overlap non-input files there, or bury newer
   // un-compacted values under older ones.
   uint64_t lo = begin, hi = end;
-  std::vector<std::vector<char>> take(levels.size());
-  for (size_t level = 0; level < levels.size(); ++level) {
-    take[level].assign(levels[level].size(), 0);
-  }
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (size_t level = 0; level < levels.size(); ++level) {
-      for (size_t i = 0; i < levels[level].size(); ++i) {
-        if (take[level][i]) continue;
-        const auto& table = levels[level][i];
-        if (table->max_key() < lo || table->min_key() > hi) continue;
-        take[level][i] = 1;
-        if (table->min_key() < lo) {
-          lo = table->min_key();
-          grew = true;
-        }
-        if (table->max_key() > hi) {
-          hi = table->max_key();
-          grew = true;
-        }
-      }
-    }
+  for (bool grew = true; grew;) {
+    grew = false;  // the walk keeps its [lo, hi]; growth shows next pass
+    version->ForEachTable(lo, hi, [&](size_t, const auto& table) {
+      if (table->min_key() < lo || table->max_key() > hi) grew = true;
+      lo = std::min(lo, table->min_key());
+      hi = std::max(hi, table->max_key());
+      return true;
+    });
   }
 
-  // Inputs in read precedence order (L0 newest-first, then L1+ in key
-  // order): the merge resolves duplicate keys to the lowest index.
+  // Inputs in read precedence order: the merge resolves duplicate keys
+  // to the lowest index. Everything lands at the deepest input level
+  // (the last input's; floor L1 — L0 files overlap), capped at the tree
+  // depth, so a full-range call digs the data all the way down and
+  // maximizes tombstone drops.
   CompactionJob job;
-  size_t deepest = 0;
-  for (size_t i = levels[0].size(); i-- > 0;) {
-    if (!take[0][i]) continue;
-    job.inputs.push_back(levels[0][i]);
-    job.input_files.emplace_back(0, levels[0][i]->file_number());
-  }
-  for (size_t level = 1; level < levels.size(); ++level) {
-    for (size_t i = 0; i < levels[level].size(); ++i) {
-      if (!take[level][i]) continue;
-      job.inputs.push_back(levels[level][i]);
-      job.input_files.emplace_back(static_cast<uint32_t>(level),
-                                   levels[level][i]->file_number());
-      deepest = level;
-    }
-  }
-  // Everything lands at the deepest input level (floor L1 — L0 files
-  // overlap), capped at the tree depth, so a full-range call digs the
-  // data all the way down and maximizes tombstone drops.
+  AddOverlapping(*version, 0, SIZE_MAX, lo, hi, &job);
+  const size_t deepest =
+      job.input_files.empty() ? 0 : job.input_files.back().first;
   job.output_level =
       std::min(std::max<size_t>(1, deepest), compact_cfg_.max_levels - 1);
 
@@ -1026,13 +976,13 @@ bool Db::CompactAll() { return CompactRange(0, UINT64_MAX); }
 
 FilterFeedback Db::CollectFilterFeedback() const {
   FilterFeedback feedback;
-  auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    if (table->filter() == nullptr || table->filter_backend().empty()) {
-      continue;
+  versions_.Current()->ForEachTable(0, UINT64_MAX, [&](size_t,
+                                                        const auto& table) {
+    if (table->filter() != nullptr && !table->filter_backend().empty()) {
+      *feedback.FindOrAdd(table->filter_backend()) += table->filter_outcomes();
     }
-    *feedback.FindOrAdd(table->filter_backend()) += table->filter_outcomes();
-  }
+    return true;
+  });
   return feedback;
 }
 
@@ -1042,31 +992,18 @@ bool Db::Get(uint64_t key, std::string* value) {
   // Newest-first walk; the FIRST entry found for the key decides. A
   // tombstone is a definite "deleted" — falling through to an older
   // source would resurrect the key.
-  switch (version->active()->Find(key, value)) {
-    case Lookup::kHit: return true;
-    case Lookup::kTombstone: return false;
-    case Lookup::kMiss: break;
+  Lookup found = Lookup::kMiss;
+  version->ForEachMemTable([&](const MemTable& mem) {
+    found = mem.Find(key, value);
+    return found == Lookup::kMiss;
+  });
+  if (found == Lookup::kMiss) {
+    version->ForEachTable(key, key, [&](size_t, const auto& table) {
+      found = table->Find(key, value, &stats_);
+      return found == Lookup::kMiss;
+    });
   }
-  const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-    switch ((*it)->Find(key, value)) {
-      case Lookup::kHit: return true;
-      case Lookup::kTombstone: return false;
-      case Lookup::kMiss: break;
-    }
-  }
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    // Leveled compaction leaves L1+ files key-disjoint, so most tables
-    // can't contain the key at all — skip them before the filter probe
-    // or read amplification grows with file count instead of shrinking.
-    if (key < table->min_key() || key > table->max_key()) continue;
-    switch (table->Find(key, value, &stats_)) {
-      case Lookup::kHit: return true;
-      case Lookup::kTombstone: return false;
-      case Lookup::kMiss: break;
-    }
-  }
-  return false;
+  return found == Lookup::kHit;
 }
 
 std::vector<std::optional<std::string>> Db::MultiGet(
@@ -1077,44 +1014,29 @@ std::vector<std::optional<std::string>> Db::MultiGet(
 
   auto version = versions_.Current();
 
-  // Memtables first (newest data); they already index by key. A hit
-  // lands in `result` directly; a tombstone marks the key resolved
-  // (absent) so no older source below can resurrect it.
+  // One states/values pair is chained through every source newest-
+  // first, so each probes only keys no newer source resolved (a
+  // tombstone resolves like a hit: no older source can resurrect it).
   std::vector<Lookup> states(keys.size(), Lookup::kMiss);
+  std::vector<std::string> values(keys.size());
   size_t remaining = keys.size();
-  std::string value;
-  for (size_t i = 0; i < keys.size(); ++i) {
-    states[i] = version->active()->Find(keys[i], &value);
-    if (states[i] == Lookup::kHit) result[i] = value;
-    if (states[i] != Lookup::kMiss) --remaining;
-  }
-  const auto& sealed = version->sealed();
-  for (auto it = sealed.rbegin(); it != sealed.rend() && remaining > 0; ++it) {
+  version->ForEachMemTable([&](const MemTable& mem) {
     for (size_t i = 0; i < keys.size(); ++i) {
       if (states[i] != Lookup::kMiss) continue;
-      states[i] = (*it)->Find(keys[i], &value);
-      if (states[i] == Lookup::kHit) result[i] = value;
+      states[i] = mem.Find(keys[i], &values[i]);
       if (states[i] != Lookup::kMiss) --remaining;
     }
-  }
-
-  // Then the tables newest-first, chaining one states/values array
-  // pair so each table only probes keys no newer source resolved (a
-  // tombstone resolves just like a hit). Tables whose key range misses
-  // the whole batch are skipped outright.
-  const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
-  const uint64_t batch_lo = *lo_it;
-  const uint64_t batch_hi = *hi_it;
-  std::vector<std::string> values(keys.size());
-  for (const TableReader* table : TablesNewestFirst(*version)) {
-    if (remaining == 0) break;
-    if (batch_hi < table->min_key() || batch_lo > table->max_key()) continue;
-    remaining -= table->MultiGet(keys, states.data(), values.data(), &stats_);
+    return remaining > 0;
+  });
+  if (remaining > 0) {
+    const auto [lo_it, hi_it] = std::minmax_element(keys.begin(), keys.end());
+    version->ForEachTable(*lo_it, *hi_it, [&](size_t, const auto& table) {
+      remaining -= table->MultiGet(keys, states.data(), values.data(), &stats_);
+      return remaining > 0;
+    });
   }
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (states[i] == Lookup::kHit && !result[i].has_value()) {
-      result[i] = std::move(values[i]);
-    }
+    if (states[i] == Lookup::kHit) result[i] = std::move(values[i]);
   }
   return result;
 }
@@ -1139,25 +1061,29 @@ std::vector<std::vector<std::pair<uint64_t, std::string>>> Db::ScanRange(
 
   // One batched filter probe per table for the whole batch; only the
   // ranges a table's filter cannot exclude open a cursor on its data
-  // blocks (cache-served via GetBlock).
-  const std::vector<const TableReader*> tables = TablesNewestFirst(*version);
-  auto may_match = std::make_unique<bool[]>(tables.size() * n);
-  for (size_t t = 0; t < tables.size(); ++t) {
-    tables[t]->RangeMultiProbe(los, his, &may_match[t * n], &stats_);
-  }
-  const auto& sealed = version->sealed();
+  // blocks (cache-served via GetBlock). Row t of may_match is the t-th
+  // table of the full walk.
+  auto may_match = std::make_unique<bool[]>(version->table_count() * n);
+  size_t t = 0;
+  version->ForEachTable(0, UINT64_MAX, [&](size_t, const auto& table) {
+    table->RangeMultiProbe(los, his, &may_match[t++ * n], &stats_);
+    return true;
+  });
   for (size_t i = 0; i < n; ++i) {
     const uint64_t lo = los[i];
     const uint64_t hi = his[i];
     MergingIterator merge;
-    merge.Add(MemTable::Iterator(*version->active(), lo));
-    for (auto it = sealed.rbegin(); it != sealed.rend(); ++it) {
-      merge.Add(MemTable::Iterator(**it, lo));
-    }
-    for (size_t t = 0; t < tables.size(); ++t) {
-      if (!may_match[t * n + i]) continue;
-      merge.Add(tables[t]->RangeCursor(lo, hi, &stats_));
-    }
+    version->ForEachMemTable([&](const MemTable& mem) {
+      merge.Add(MemTable::Iterator(mem, lo));
+      return true;
+    });
+    t = 0;
+    version->ForEachTable(0, UINT64_MAX, [&](size_t, const auto& table) {
+      if (may_match[t++ * n + i]) {
+        merge.Add(table->RangeCursor(lo, hi, &stats_));
+      }
+      return true;
+    });
     auto& out = results[i];
     for (; merge.Valid() && merge.key() <= hi && out.size() < limit;
          merge.Next()) {
@@ -1175,19 +1101,16 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
   auto version = versions_.Current();
   // Memtables answer exactly: a live row in [lo, hi] (a tombstone is
   // no row).
-  auto has_live_row = [&](const MemTable& mem) {
-    for (MemTable::Iterator it(mem, lo); it.Valid() && it.key() <= hi;
-         it.Next()) {
-      if (!it.tombstone()) return true;
-    }
-    return false;
-  };
-  if (has_live_row(*version->active())) return true;
-  for (const auto& mem : version->sealed()) {
-    if (has_live_row(*mem)) return true;
-  }
   bool any = false;
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  version->ForEachMemTable([&](const MemTable& mem) {
+    for (MemTable::Iterator it(mem, lo); !any && it.Valid() && it.key() <= hi;
+         it.Next()) {
+      any = !it.tombstone();
+    }
+    return !any;
+  });
+  if (any) return true;
+  version->ForEachTable(0, UINT64_MAX, [&](size_t, const auto& table) {
     if (table->filter() != nullptr) {
       bool may_match = false;
       table->RangeMultiProbe({&lo, 1}, {&hi, 1}, &may_match, &stats_);
@@ -1200,16 +1123,18 @@ bool Db::RangeMayMatch(uint64_t lo, uint64_t hi) {
     } else {
       if (lo <= table->max_key() && hi >= table->min_key()) any = true;
     }
-  }
+    return true;
+  });
   return any;
 }
 
 void Db::UpdateTombstonesLive() {
   uint64_t total = 0;
-  auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  versions_.Current()->ForEachTable(0, UINT64_MAX, [&](size_t,
+                                                       const auto& table) {
     total += table->num_tombstones();
-  }
+    return true;
+  });
   stats_.tombstones_live.store(total, std::memory_order_relaxed);
 }
 
@@ -1228,10 +1153,11 @@ std::vector<size_t> Db::level_table_counts() const {
 
 uint64_t Db::filter_memory_bits() const {
   uint64_t total = 0;
-  auto version = versions_.Current();
-  for (const TableReader* table : TablesNewestFirst(*version)) {
+  versions_.Current()->ForEachTable(0, UINT64_MAX, [&](size_t,
+                                                       const auto& table) {
     total += table->filter_memory_bits();
-  }
+    return true;
+  });
   return total;
 }
 

@@ -4,6 +4,15 @@
 
 namespace bloomrf {
 
+namespace {
+
+bool ByMinKey(const std::shared_ptr<const TableReader>& a,
+              const std::shared_ptr<const TableReader>& b) {
+  return a->min_key() < b->min_key();
+}
+
+}  // namespace
+
 std::shared_ptr<const Version> Version::WithSealedActive(
     std::shared_ptr<MemTable> fresh) const {
   std::shared_ptr<Version> next(new Version(Raw{}));
@@ -28,15 +37,16 @@ std::shared_ptr<const Version> Version::WithFlushed(
 }
 
 std::shared_ptr<const Version> Version::WithCompaction(
-    const std::vector<uint64_t>& input_files, size_t output_level,
-    TableList outputs) const {
+    const std::vector<std::pair<uint32_t, uint64_t>>& input_files,
+    size_t output_level, TableList outputs) const {
   std::shared_ptr<Version> next(new Version(Raw{}));
   next->active_ = active_;
   next->sealed_ = sealed_;
   next->levels_.resize(std::max(levels_.size(), output_level + 1));
   auto is_input = [&input_files](const std::shared_ptr<const TableReader>& t) {
-    return std::find(input_files.begin(), input_files.end(),
-                     t->file_number()) != input_files.end();
+    return std::any_of(
+        input_files.begin(), input_files.end(),
+        [&t](const auto& file) { return file.second == t->file_number(); });
   };
   for (size_t level = 0; level < levels_.size(); ++level) {
     for (const auto& table : levels_[level]) {
@@ -50,10 +60,7 @@ std::shared_ptr<const Version> Version::WithCompaction(
     // Deeper levels are sorted disjoint runs; the outputs cover a key
     // range no surviving file of the level overlaps, so sorting by
     // min_key restores the run invariant.
-    std::sort(target.begin(), target.end(),
-              [](const auto& a, const auto& b) {
-                return a->min_key() < b->min_key();
-              });
+    std::sort(target.begin(), target.end(), ByMinKey);
   }
   return next;
 }
@@ -63,6 +70,9 @@ std::shared_ptr<const Version> Version::FromLevels(
   std::shared_ptr<Version> v(new Version(Raw{}));
   v->active_ = std::make_shared<MemTable>();
   if (levels.empty()) levels.resize(1);
+  for (size_t level = 1; level < levels.size(); ++level) {
+    std::sort(levels[level].begin(), levels[level].end(), ByMinKey);
+  }
   v->levels_ = std::move(levels);
   return v;
 }

@@ -7,6 +7,9 @@
 // overlap), then L1, L2, ... — each deeper level is a sorted run of
 // disjoint key ranges, so within a level at most one file can contain
 // a given key and order inside the level carries no recency meaning.
+// ForEachMemTable and ForEachTable are the one place this rule is
+// written: every read takes its sources, and every compaction its
+// input list, from them.
 //
 // A Version is never mutated after construction (the active MemTable's
 // *contents* grow — it is internally locked — but which object is
@@ -34,8 +37,11 @@
 #ifndef BLOOMRF_LSM_VERSION_H_
 #define BLOOMRF_LSM_VERSION_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "lsm/memtable.h"
@@ -62,6 +68,40 @@ class Version {
   /// files. Always at least one level.
   const std::vector<TableList>& levels() const { return levels_; }
 
+  /// Calls `fn(const MemTable&)` on the active memtable, then the sealed
+  /// ones newest-first, until it returns false.
+  template <typename Fn>
+  void ForEachMemTable(Fn&& fn) const {
+    if (!fn(std::as_const(*active_))) return;
+    for (auto it = sealed_.rbegin(); it != sealed_.rend(); ++it) {
+      if (!fn(**it)) return;
+    }
+  }
+
+  /// Calls `fn(size_t level, const std::shared_ptr<const TableReader>&)`
+  /// on every table whose [min_key, max_key] overlaps [lo, hi], newest
+  /// data first, until it returns false: L0 newest-first, then each
+  /// deeper level's overlapping slice (contiguous in a disjoint sorted
+  /// run) after one binary search. Allocates nothing.
+  template <typename Fn>
+  void ForEachTable(uint64_t lo, uint64_t hi, Fn&& fn) const {
+    const TableList& l0 = levels_[0];
+    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
+      if ((*it)->max_key() < lo || (*it)->min_key() > hi) continue;
+      if (!fn(size_t{0}, *it)) return;
+    }
+    for (size_t level = 1; level < levels_.size(); ++level) {
+      const TableList& run = levels_[level];
+      auto it = std::lower_bound(run.begin(), run.end(), lo,
+                                 [](const auto& table, uint64_t key) {
+                                   return table->max_key() < key;
+                                 });
+      for (; it != run.end() && (*it)->min_key() <= hi; ++it) {
+        if (!fn(level, *it)) return;
+      }
+    }
+  }
+
   size_t table_count() const {
     size_t n = 0;
     for (const auto& level : levels_) n += level.size();
@@ -86,17 +126,18 @@ class Version {
   std::shared_ptr<const Version> WithFlushed(
       const MemTable* flushed, std::shared_ptr<const TableReader> table) const;
 
-  /// New Version with the compaction inputs (located by file number
-  /// across all levels) removed and `outputs` merged into
-  /// `output_level`, which is kept sorted by min_key. Non-input files
+  /// New Version with the compaction inputs ((level, file) pairs,
+  /// located by file number across all levels) removed and `outputs`
+  /// merged into `output_level`, kept sorted by min_key. Non-input files
   /// keep their relative order, so L0 files that were flushed while
   /// the compaction ran retain their recency position.
   std::shared_ptr<const Version> WithCompaction(
-      const std::vector<uint64_t>& input_files, size_t output_level,
-      TableList outputs) const;
+      const std::vector<std::pair<uint32_t, uint64_t>>& input_files,
+      size_t output_level, TableList outputs) const;
 
   /// Recovery constructor: a Version holding exactly `levels` (plus a
-  /// fresh active memtable).
+  /// fresh active memtable), levels >= 1 sorted by min_key for
+  /// ForEachTable: a MANIFEST replays a level in edit order.
   static std::shared_ptr<const Version> FromLevels(
       std::vector<TableList> levels);
 

@@ -46,6 +46,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace bloomrf {
@@ -88,8 +89,16 @@ FramedReplayResult ReplayFramedFile(
 
 /// One write-path operation, the unit of Db::WriteBatch: a put of
 /// `value`, or a delete (the value is ignored). The view must stay
-/// valid for the duration of the call that receives it.
+/// valid for the duration of the call that receives it, so binding it
+/// to a temporary std::string (gone by the end of the statement that
+/// builds the KV) does not compile.
 struct KV {
+  KV(uint64_t k, std::string_view v, bool del = false)
+      : key(k), value(v), is_delete(del) {}
+  template <typename S>
+    requires std::is_same_v<std::remove_const_t<S>, std::string>
+  KV(uint64_t, S&&, bool = false) = delete;
+
   uint64_t key = 0;
   std::string_view value;
   bool is_delete = false;

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,14 @@
 
 namespace bloomrf {
 namespace {
+
+// A KV only views its value: binding it to a temporary std::string
+// would leave the view dangling before WriteBatch reads it.
+static_assert(!std::is_constructible_v<KV, uint64_t, std::string&&>);
+static_assert(!std::is_constructible_v<KV, uint64_t, std::string&&, bool>);
+static_assert(std::is_constructible_v<KV, uint64_t, const std::string&>);
+static_assert(std::is_constructible_v<KV, uint64_t, std::string_view, bool>);
+static_assert(std::is_constructible_v<KV, uint64_t, const char*>);
 
 class WalTest : public ::testing::Test {
  protected:
